@@ -6,7 +6,8 @@ Graph file format (extension .sg by convention, 1-indexed vertices):
     sg <n>
     e <u> <v> <+|->
 
-Exit codes: 0 success/PASS, 1 FAIL, 2 usage or parse errors.
+Exit codes: 0 success/PASS, 1 FAIL, 2 usage or parse errors, 3 internal
+errors (eigensolver non-convergence or a failed internal consistency check).
 """
 
 from __future__ import annotations
@@ -324,15 +325,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphFormatError as exc:
+    except (OSError, ValueError) as exc:  # GraphFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3
 
 
 if __name__ == "__main__":

@@ -365,7 +365,8 @@ def _faddeev_leverrier(matrix, mu=None):
             )
         an = _matmul(a, nk)
         tr = sum(an[i][i] for i in range(n))
-        assert tr % k == 0, "Faddeev-LeVerrier trace division must be exact"
+        if tr % k:
+            raise RuntimeError("Faddeev-LeVerrier trace division is inexact; this is a bug")
         c[n - k] = -(tr // k)
         if k < n:
             for i in range(n):
@@ -661,12 +662,16 @@ def real_roots(p: IntPolynomial, bound: int | None = None, tol: float = 1e-11) -
     Roots are isolated exactly (Yun squarefree split, then Sturm-sequence
     bisection with integer arithmetic) and only the final refinement is
     rounded to float.  `bound` may supply a known bound on |root| to keep
-    the search window small; otherwise the Cauchy bound is used.
+    the search window small; otherwise the Cauchy bound is used.  tol
+    must be finite and at least about 5e-16 (rationals with denominator
+    up to 10^15 carry the bracket width); anything else raises ValueError.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has every number as a root")
+    width = Fraction(tol).limit_denominator(10 ** 15) if 0 < tol < float("inf") else 0
+    if width == 0:
+        raise ValueError(f"tol must be finite and at least about 5e-16, got {tol!r}")
     roots: list[float] = []
-    width = Fraction(tol).limit_denominator(10 ** 15)
     for factor, mult in squarefree_decomposition(p):
         b = _root_bound(factor)
         if bound is not None:

@@ -1,10 +1,12 @@
 """Numeric spectra, energy, integrality, corollary solvers, equienergetics.
 
-The eigensolver is a cyclic Jacobi iteration: simple, provably convergent
-for symmetric matrices, and ample for the desk-scale matrices handled
-here (n up to about 60).  Exact decisions (integrality, cospectrality)
-are delegated to the integer characteristic-polynomial machinery; floats
-only ever carry approximations of real spectra.
+Every numeric eigenvalue comes from one solver, LAPACK's symmetric
+driver through numpy (eigh/eigvalsh), including the roots of the
+corollaries' cubic and quartic factors, which are taken as the
+eigenvalues of small symmetric matrices with those characteristic
+polynomials.  Exact decisions (integrality, cospectrality) are delegated
+to the integer characteristic-polynomial machinery; floats only ever
+carry approximations of real spectra.
 """
 
 from __future__ import annotations
@@ -55,66 +57,45 @@ class Spectrum:
         return [f"{v:.12g}" for v in self.values]
 
 
-def jacobi_eigh(matrix, tol: float = 1e-12, max_sweeps: int = 100):
-    """Cyclic Jacobi eigendecomposition of a real symmetric matrix.
-
-    Sweeps rotate every off-diagonal pair until the off-diagonal Frobenius
-    norm drops below tol (scaled by the matrix norm).  Returns (w, V) with
-    eigenvalues descending and V's columns the matching eigenvectors.
-    Exceeding the sweep cap is a hard error.
-    """
+def _symmetric(matrix) -> np.ndarray:
+    """Float copy of a real symmetric matrix, or ValueError naming the defect."""
     a = np.array(matrix, dtype=float)
     if a.size == 0 and a.ndim == 1:
         a = a.reshape(0, 0)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    n = a.shape[0]
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     scale = max(1.0, float(np.linalg.norm(a)))
-    if n and float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
+    if a.size and float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
         raise ValueError("matrix must be symmetric")
-    v = np.eye(n)
-    if n < 2:
-        w = np.diag(a).copy()
-        return w, v
-    threshold = tol * scale
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.square(a - np.diag(np.diag(a)))))
-        if off < threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-36:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rp, rq = a[p].copy(), a[q].copy()
-                a[p] = c * rp - s * rq
-                a[q] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        raise RuntimeError(f"Jacobi iteration failed to converge in {max_sweeps} sweeps")
-    w = np.diag(a).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+    return a
+
+
+def _lapack(solver, a: np.ndarray):
+    """Run a numpy symmetric eigensolver, mapping non-convergence to RuntimeError."""
+    try:
+        return solver(a)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"symmetric eigensolver failed to converge: {exc}") from exc
+
+
+def jacobi_eigh(matrix):
+    """Eigendecomposition of a real symmetric matrix by LAPACK (numpy eigh).
+
+    Returns (w, V) with eigenvalues descending and V's columns the
+    matching orthonormal eigenvectors.  Non-square, asymmetric or
+    non-finite input raises ValueError; non-convergence raises
+    RuntimeError.  The name is historical and kept for existing callers.
+    """
+    w, v = _lapack(np.linalg.eigh, _symmetric(matrix))
+    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def eig_sym(matrix, source: str | None = None) -> Spectrum:
-    """Spectrum of a real symmetric matrix via the Jacobi solver."""
-    w, _ = jacobi_eigh(matrix)
-    return Spectrum(tuple(float(x) for x in w), source)
+    """Spectrum of a real symmetric matrix via LAPACK (numpy eigvalsh)."""
+    w = _lapack(np.linalg.eigvalsh, _symmetric(matrix))
+    return Spectrum(tuple(w[::-1].tolist()), source)
 
 
 def spectrum(g: SignedGraph, which: str = "A") -> Spectrum:
@@ -177,109 +158,19 @@ def cospectral(g1: SignedGraph, g2: SignedGraph, which: str = "A") -> bool:
     return char_poly(g1.matrix(which)) == char_poly(g2.matrix(which))
 
 
-# -- real roots of low-degree factor polynomials ------------------------------
-
-
-def _real_roots_monic(coeffs: list[float]) -> list[float]:
-    """All real roots (with multiplicity) of a monic all-real-rooted polynomial.
-
-    `coeffs` are the ascending coefficients below the implicit leading 1,
-    so the degree is len(coeffs).  Derivative-recursion isolation with
-    bisection on sign changes; a critical point where the polynomial
-    (nearly) vanishes is taken as a multiple root.  Intended for the
-    cubic/quartic factors arising from spectra, so every root is real.
-    """
-    deg = len(coeffs)
-    if deg == 0:
-        return []
-    if deg == 1:
-        return [-coeffs[0]]
-
-    # Horner including the implicit leading 1.
-    def val(x: float) -> float:
-        acc = 1.0
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
-
-    def scale_at(x: float) -> float:
-        m = max(1.0, abs(x))
-        s = 1.0
-        for c in reversed(coeffs):
-            s = s * m + abs(c)
-        return max(1.0, s)
-
-    der = [coeffs[i] * i / deg for i in range(1, deg)]  # monic derivative/deg
-    crits = _real_roots_monic(der)
-    # merge near-identical critical points, keeping multiplicities
-    merged: list[tuple[float, int]] = []
-    for c in sorted(crits):
-        if merged and abs(c - merged[-1][0]) < 1e-9 * max(1.0, abs(c)):
-            merged[-1] = (merged[-1][0], merged[-1][1] + 1)
-        else:
-            merged.append((c, 1))
-    bound = 1.0 + max(abs(c) for c in coeffs)
-    roots: list[float] = []
-    crit_is_root = []
-    for c, mult in merged:
-        if abs(val(c)) <= 1e-11 * scale_at(c):
-            roots.extend([c] * (mult + 1))
-            crit_is_root.append(True)
-        else:
-            crit_is_root.append(False)
-    points = [-bound] + [c for c, _ in merged] + [bound]
-    point_root = [False] + crit_is_root + [False]
-    for i in range(len(points) - 1):
-        a, b = points[i], points[i + 1]
-        if point_root[i] or point_root[i + 1]:
-            continue
-        fa, fb = val(a), val(b)
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fa * fb < 0.0:
-            lo, hi, flo = a, b, fa
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fm = val(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (fm > 0) == (flo > 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-                if hi - lo <= 1e-14 * max(1.0, abs(lo)):
-                    break
-            x = 0.5 * (lo + hi)
-            for _ in range(3):  # Newton polish on the simple root
-                dv = 0.0
-                fv = 1.0
-                for c in reversed(coeffs):
-                    dv = dv * x + fv
-                    fv = fv * x + c
-                if dv != 0.0:
-                    step = fv / dv
-                    if abs(step) < 1.0:
-                        x -= step
-            roots.append(x)
-    roots.sort()
-    if len(roots) != deg:
-        raise RuntimeError(
-            f"expected {deg} real roots, isolated {len(roots)}; "
-            "input may not be all-real-rooted"
-        )
-    return roots
-
-
-def _poly_real_roots(coeffs_ascending: list[float]) -> list[float]:
-    """Real roots of an all-real-rooted polynomial given ascending coeffs."""
-    lead = coeffs_ascending[-1]
-    monic = [c / lead for c in coeffs_ascending[:-1]]
-    return _real_roots_monic(monic)
-
-
 # -- corollary spectrum assembly ----------------------------------------------
+
+
+def _factor_roots(ts, template: list[list[float]]) -> list[float]:
+    """Union over t in ts of the eigenvalues of template with entry (0, 1) = t.
+
+    Each template is chosen so that its characteristic polynomial, with t
+    in the (0, 1)/(1, 0) slots, is one corollary factor polynomial; one
+    batched LAPACK call then yields every factor's (all real) roots.
+    """
+    m = np.repeat(np.array([template], dtype=float), len(ts), axis=0)
+    m[:, 0, 1] = m[:, 1, 0] = ts
+    return _lapack(np.linalg.eigvalsh, m).ravel().tolist()
 
 
 def corollary_coregular_spectrum(g1: SignedGraph, g2: SignedGraph) -> Spectrum:
@@ -289,7 +180,8 @@ def corollary_coregular_spectrum(g1: SignedGraph, g2: SignedGraph) -> Spectrum:
     eigenvalue of g2 with some exact multiplicity p.  The product
     spectrum is: every eigenvalue of g2 other than k repeated n1 times,
     the three real roots of x^3 - k x^2 - (n2 + t^2) x + k t^2 for each
-    eigenvalue t of g1_mu, and k with multiplicity n1*(p-1).
+    eigenvalue t of g1_mu, and k with multiplicity n1*(p-1).  The cubic is
+    det(xI - M) for M = [[0, t, 0], [t, 0, sqrt(n2)], [0, sqrt(n2), k]].
     """
     rep = regularity(g2)
     if rep.co_regular_pair is None:
@@ -313,10 +205,8 @@ def corollary_coregular_spectrum(g1: SignedGraph, g2: SignedGraph) -> Spectrum:
     for lam in others:
         values.extend([lam] * n1)
     lam1mu = eig_sym(mu_signed_graph(g1, canonical_marking(g1)).adjacency()).values
-    for t in lam1mu:
-        t2 = t * t
-        cubic = [k * t2, -(n2 + t2), -float(k), 1.0]
-        values.extend(_poly_real_roots(cubic))
+    s = n2 ** 0.5
+    values.extend(_factor_roots(lam1mu, [[0, 0, 0], [0, 0, s], [0, s, k]]))
     values.extend([float(k)] * (n1 * (p_mult - 1)))
     values.sort(reverse=True)
     return Spectrum(tuple(values), source="A")
@@ -331,7 +221,9 @@ def corollary_star_spectrum(g1: SignedGraph, n2: int, center_mark: int) -> Spect
     four real roots.  Requires g1 balanced (so g1 and g1_mu are
     cospectral, making the quartic's t the eigenvalues of g1 itself);
     the star's signature must realize the requested center mark through
-    its canonical marking.
+    its canonical marking.  With c = mu(center) and s = sqrt(n2), the
+    quartic is det(xI - M) for
+    M = [[0, t, 0, 0], [t, 0, 1, c s], [0, 1, 0, s], [0, c s, s, 0]].
     """
     if center_mark not in (1, -1):
         raise ValueError("center mark must be +1 or -1")
@@ -341,10 +233,10 @@ def corollary_star_spectrum(g1: SignedGraph, n2: int, center_mark: int) -> Spect
         raise ValueError("first factor must be balanced for the star corollary")
     n1 = g1.n
     values = [0.0] * (n1 * (n2 - 1))
-    for t in eig_sym(g1.adjacency()).values:
-        t2 = t * t
-        quartic = [n2 * t2, -2.0 * n2 * center_mark, -(2 * n2 + 1 + t2), 0.0, 1.0]
-        values.extend(_poly_real_roots(quartic))
+    s = n2 ** 0.5
+    cs = center_mark * s
+    template = [[0, 0, 0, 0], [0, 0, 1, cs], [0, 1, 0, s], [0, cs, s, 0]]
+    values.extend(_factor_roots(eig_sym(g1.adjacency()).values, template))
     values.sort(reverse=True)
     return Spectrum(tuple(values), source="A")
 
@@ -389,7 +281,7 @@ def equienergetic_product_pair(g: SignedGraph, h1: SignedGraph, h2: SignedGraph)
     e1, e2 = energy(h1).energy, energy(h2).energy
     if abs(e1 - e2) > 1e-8:
         violations.append("energy mismatch")
-    if char_poly(h1.adjacency()) == char_poly(h2.adjacency()):
+    if c1.unreduced()[1] == c2.unreduced()[1]:  # the char polys of h1, h2
         violations.append("cospectral inputs")
     if violations:
         raise PreconditionError(violations)
@@ -464,9 +356,8 @@ def equienergetic_search(max_n: int = 6, find_all: bool = False):
                     ((u, v, -1 if (bits >> ei) & 1 else 1)
                      for ei, (u, v) in enumerate(edges)),
                 )
-                cp = char_poly(sg.adjacency())
-                cor = coronal(sg.adjacency(), canonical_marking(sg)).as_pair()
-                exact[key] = (sg, cp.coefficients, cor)
+                cor = coronal(sg.adjacency(), canonical_marking(sg))
+                exact[key] = (sg, cor.unreduced()[1].coefficients, cor.as_pair())
             return exact[key]
 
         i = 0

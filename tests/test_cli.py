@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from sgcorona import SignedGraph, cycle_graph, path_graph
@@ -200,3 +201,17 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["verify", "--theorem", "X", "a", "b"])
     assert info.value.code == 2
+
+
+def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    c3 = graph_file(tmp_path, "c3.sg", C3)
+    assert main(["spectrum", c3]) == 3
+    assert main(["energy", c3]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "converge" in captured.err
+    assert "Traceback" not in captured.err

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -351,6 +353,17 @@ def test_real_roots_examples():
 def test_real_roots_ignore_complex_pairs():
     # x (x^2 + 1): only the real root is reported
     assert real_roots(poly(0, 1, 0, 1)) == [0.0]
+
+
+def test_real_roots_rejects_unusable_tol():
+    # tol below ~5e-16 rounds to a zero bracket width, which used to bisect
+    # an irrational root forever
+    start = time.perf_counter()
+    for tol in (1e-16, 4e-16, 0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            real_roots(poly(-2, 0, 1), tol=tol)
+    assert time.perf_counter() - start < 1.0
+    assert real_roots(poly(-2, 0, 1), tol=1e-15) == pytest.approx([-math.sqrt(2), math.sqrt(2)])
 
 
 def test_integer_roots():

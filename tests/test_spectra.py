@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgcorona import (
     Marking,
@@ -36,7 +38,6 @@ from sgcorona import (
     switching_iso_witness,
     vertex_corona,
 )
-from sgcorona.spectra import _poly_real_roots
 from helpers import (
     all_signings,
     max_spectral_diff,
@@ -60,6 +61,28 @@ def test_eig_examples():
 def test_eig_rejects_asymmetric():
     with pytest.raises(ValueError):
         eig_sym([[0, 1], [0.5, 0]])
+
+
+def test_eig_rejects_non_square_and_non_finite():
+    with pytest.raises(ValueError, match="square"):
+        jacobi_eigh([[0, 1, 2], [1, 0, 3]])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            jacobi_eigh([[0.0, bad], [bad, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            eig_sym([[bad, 0.0], [0.0, 1.0]])
+
+
+def test_eig_non_convergence_is_runtime_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(RuntimeError, match="converge"):
+        jacobi_eigh([[1.0]])
+    with pytest.raises(RuntimeError, match="converge"):
+        spectrum(cycle_graph(3))
 
 
 def test_eig_ordering_and_trace():
@@ -165,14 +188,6 @@ def test_integrality_agrees_with_numeric_check():
 # -- corollary solvers ------------------------------------------------------------
 
 
-def test_poly_real_roots_with_multiplicity():
-    roots = _poly_real_roots([0.0, -2.0, -3.0, 0.0, 1.0])  # x^4-3x^2-2x
-    assert len(roots) == 4
-    assert max_spectral_diff(sorted(roots), sorted([-1.0, -1.0, 0.0, 2.0])) < 1e-9
-    roots = _poly_real_roots([0.0, -3.0, -2.0, 1.0])  # x^3-2x^2-3x
-    assert max_spectral_diff(sorted(roots), [-1.0, 0.0, 3.0]) < 1e-9
-
-
 def test_coregular_closed_instance():
     got = corollary_coregular_spectrum(empty_graph(1), cycle_graph(3))
     assert max_spectral_diff(got.values, (3.0, 0.0, -1.0, -1.0, -1.0)) < 1e-8
@@ -202,8 +217,12 @@ def test_coregular_rejects_irregular():
 
 
 def test_star_closed_instance():
+    # n1 = n2 = 1, t = 0: the quartic is x^4 - 3x^2 - 2c x, which has the
+    # double root -1 for centre mark c = 1 and the double root 1 for c = -1
     got = corollary_star_spectrum(empty_graph(1), 1, 1)
-    assert max_spectral_diff(got.values, (2.0, 0.0, -1.0, -1.0)) < 1e-8
+    assert max_spectral_diff(got.values, (2.0, 0.0, -1.0, -1.0)) < 1e-9
+    got = corollary_star_spectrum(empty_graph(1), 1, -1)
+    assert max_spectral_diff(got.values, (1.0, 1.0, 0.0, -2.0)) < 1e-9
 
 
 def test_star_matches_direct():
@@ -325,3 +344,56 @@ def test_duplication_component_laplacians():
         for comp in connected_components(d):
             sub = induced_subgraph(d, comp)
             assert abs(min(spectrum(sub, "L").values)) <= 1e-8
+
+
+# -- property tests --------------------------------------------------------------
+
+CO_REGULAR_POOL = [
+    g
+    for base in (cycle_graph(3), cycle_graph(4), cycle_graph(5), cycle_graph(6), complete_graph(4))
+    for g in all_signings(base)
+    if regularity(g).co_regular_pair is not None
+]
+
+
+@st.composite
+def signed_graphs(draw, max_n=4):
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    signs = draw(st.lists(st.sampled_from((0, 1, -1)), min_size=len(pairs), max_size=len(pairs)))
+    return SignedGraph(n, [(u, v, s) for (u, v), s in zip(pairs, signs) if s])
+
+
+def _dense_spectrum(g):
+    return np.linalg.eigvalsh(g.adjacency())[::-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_graphs(), st.sampled_from(CO_REGULAR_POOL))
+def test_property_coregular_corollary_matches_dense(g1, g2):
+    prod, _ = add_vertex_corona(g1, g2)
+    got = corollary_coregular_spectrum(g1, g2).values
+    assert max_spectral_diff(got, _dense_spectrum(prod)) < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    signed_graphs(),
+    st.lists(st.sampled_from((1, -1)), min_size=4, max_size=4),
+    st.lists(st.sampled_from((1, -1)), min_size=1, max_size=4),
+)
+def test_property_star_corollary_matches_dense(shape, marks, leaf_signs):
+    # re-sign the drawn graph by a marking, which makes it balanced
+    g1 = SignedGraph(shape.n, [(u, v, marks[u] * marks[v]) for u, v, _ in shape.edges()])
+    star = star_graph(len(leaf_signs), leaf_signs)
+    prod, _ = add_vertex_corona(g1, star)
+    got = corollary_star_spectrum(g1, star.n - 1, canonical_marking(star)[0]).values
+    assert max_spectral_diff(got, _dense_spectrum(prod)) < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_graphs(max_n=6), st.lists(st.sampled_from((1, -1)), min_size=6, max_size=6),
+       st.sampled_from("ALQ"))
+def test_property_spectrum_switching_invariant(g, marks, which):
+    switched = switch(g, Marking(tuple(marks[: g.n])))
+    assert max_spectral_diff(spectrum(g, which).values, spectrum(switched, which).values) < 1e-8
