@@ -82,7 +82,10 @@ class SignedGraph:
     """Immutable simple undirected graph with edge signs in {+1, -1}.
 
     Vertices are the integers 0..n-1.  Loops and parallel edges are
-    rejected at construction.
+    rejected at construction.  The neighbour index behind `neighbors`
+    and the degree queries is built on first use; it is derived from the
+    edges alone, so it changes neither equality, hashing nor thread
+    safety.
     """
 
     __slots__ = ("_n", "_edges", "_adj")
@@ -102,13 +105,25 @@ class SignedGraph:
             if key in store:
                 raise ValueError(f"duplicate edge {key}")
             store[key] = _check_sign(s)
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (u, v), s in store.items():
-            adj[u].append((v, s))
-            adj[v].append((u, s))
         self._n = n
         self._edges = store
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
+        self._adj = None
+
+    def _index(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per-vertex sorted (neighbor, sign) pairs, built on first use.
+
+        The index is a pure function of the edge dict, so two threads
+        that race here build equal tuples and either write is correct.
+        """
+        adj = self._adj
+        if adj is None:
+            lists: list[list[tuple[int, int]]] = [[] for _ in range(self._n)]
+            for (u, v), s in self._edges.items():
+                lists[u].append((v, s))
+                lists[v].append((u, s))
+            adj = tuple(tuple(sorted(a)) for a in lists)
+            self._adj = adj
+        return adj
 
     # -- basic queries ------------------------------------------------
 
@@ -137,24 +152,24 @@ class SignedGraph:
 
     def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
         """Sorted (neighbor, sign) pairs incident to v."""
-        return self._adj[v]
+        return self._index()[v]
 
     # -- degrees ------------------------------------------------------
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self._index()[v])
 
     def pos_degree(self, v: int) -> int:
-        return sum(1 for _, s in self._adj[v] if s > 0)
+        return sum(1 for _, s in self._index()[v] if s > 0)
 
     def neg_degree(self, v: int) -> int:
-        return sum(1 for _, s in self._adj[v] if s < 0)
+        return sum(1 for _, s in self._index()[v] if s < 0)
 
     def signed_degree(self, v: int) -> int:
-        return sum(s for _, s in self._adj[v])
+        return sum(s for _, s in self._index()[v])
 
     def degrees(self) -> list[int]:
-        return [len(a) for a in self._adj]
+        return [len(a) for a in self._index()]
 
     # -- matrices (exact integer, list-of-rows) -----------------------
 

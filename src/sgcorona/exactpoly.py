@@ -683,13 +683,46 @@ def real_roots(p: IntPolynomial, bound: int | None = None, tol: float = 1e-11) -
     return roots
 
 
+def _ceil_root(c: int, k: int) -> int:
+    """Smallest integer r >= 0 with r**k >= c, for c >= 0 and k >= 1."""
+    lo, hi = 0, 1 << (c.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid ** k >= c:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _fujiwara_bound(p: IntPolynomial) -> int:
+    """Integer Fujiwara bound: every complex root z of p has |z| <= B.
+
+    B = 2 * max_k r_k with r_k the least integer at least
+    |a_(d-k) / a_d|^(1/k), the last term halved inside the root (k = d).
+    For a monic polynomial of degree d with spectral radius rho,
+    |a_(d-k)| <= C(d, k) rho^k keeps B below 2 d rho, where the Cauchy
+    bound grows with the coefficients themselves.
+    """
+    c = p.coefficients
+    d = p.degree
+    lead = abs(c[-1])
+    r = 0
+    for k in range(1, d + 1):
+        a = abs(c[d - k])
+        if k == d:
+            lead *= 2
+        r = max(r, _ceil_root(-(-a // lead), k))
+    return 2 * r
+
+
 def integer_roots(p: IntPolynomial, bound: int | None = None):
     """Integer roots with multiplicity, plus the integer-root-free quotient.
 
     Candidates are divisors of the constant term (after stripping powers
-    of x), capped by the root bound; each is removed by exact synthetic
-    division, so the decision is exact.  Returns ({root: multiplicity},
-    remainder polynomial).
+    of x) up to the integer Fujiwara bound, or `bound` if smaller; each
+    is removed by exact synthetic division, so the decision is exact.
+    Returns ({root: multiplicity}, remainder polynomial).
     """
     if p.is_zero:
         raise ValueError("zero polynomial has every integer as a root")
@@ -698,7 +731,7 @@ def integer_roots(p: IntPolynomial, bound: int | None = None):
     while q.coeff(0) == 0 and q.degree > 0:
         roots[0] = roots.get(0, 0) + 1
         q = q.exact_div(IntPolynomial.x())
-    limit = _root_bound(q)
+    limit = _fujiwara_bound(q)
     if bound is not None:
         limit = min(limit, int(bound) + 1)
     for t in range(1, limit + 1):

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SignedGraph, canonical_marking, is_balanced, mu_signed_graph, regularity
-from .exactpoly import IntPolynomial, char_poly, coronal, integer_roots
+from .exactpoly import (
+    IntPolynomial,
+    char_poly,
+    graph_coronal,
+    integer_roots,
+    product_char_poly_A,
+)
 from .products import add_vertex_corona
 
 __all__ = [
@@ -269,13 +275,14 @@ def equienergetic_product_pair(g: SignedGraph, h1: SignedGraph, h2: SignedGraph)
     (exact), equal energy within 1e-8, and exactly non-cospectral.  All
     violations are collected and raised together.  The returned report
     certifies the products' energies agree within 1e-6 and their
-    characteristic polynomials differ exactly.
+    characteristic polynomials differ exactly; those come from the
+    product identity (`product_char_poly_A`: the factors' coronal pair
+    and the char poly of A(g_mu)^2), never from the dense products.
     """
     violations = []
     if h1.n != h2.n:
         violations.append("order mismatch")
-    c1 = coronal(h1.adjacency(), canonical_marking(h1))
-    c2 = coronal(h2.adjacency(), canonical_marking(h2))
+    c1, c2 = graph_coronal(h1), graph_coronal(h2)
     if c1.as_pair() != c2.as_pair():
         violations.append("coronal mismatch")
     e1, e2 = energy(h1).energy, energy(h2).energy
@@ -289,12 +296,19 @@ def equienergetic_product_pair(g: SignedGraph, h1: SignedGraph, h2: SignedGraph)
     p2, _ = add_vertex_corona(g, h2)
     pe1, pe2 = energy(p1).energy, energy(p2).energy
     gap = abs(pe1 - pe2)
-    cospec = char_poly(p1.adjacency()) == char_poly(p2.adjacency())
+    cospec = product_char_poly_A(g, h1) == product_char_poly_A(g, h2)
     if gap > 1e-6 or cospec:
         raise RuntimeError(
             "constructed products violate the equienergetic guarantee; this is a bug"
         )
     return p1, p2, EquienergeticReport(pe1, pe2, gap, cospec)
+
+
+# Largest order in the networkx graph atlas, hence the search's limit.
+_ATLAS_MAX_N = 7
+# Signatures per batched eigensolve or key computation in the search; the
+# working arrays hold about _SEARCH_CHUNK * n^2 numbers.
+_SEARCH_CHUNK = 4096
 
 
 def _atlas_connected(max_n: int):
@@ -315,68 +329,138 @@ def _atlas_connected(max_n: int):
     return out
 
 
+def _signature_matrices(n: int, us: np.ndarray, vs: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Integer adjacency matrices (B, n, n) of B signatures.
+
+    Row b of us and vs lists the endpoints of signature b's edges (or
+    one row shared by all); bit e of bits[b] set makes edge e negative.
+    Padding edges (n, n) land in an extra row and column that is cut off.
+    """
+    signs = 1 - 2 * ((bits[:, None] >> np.arange(us.shape[1])) & 1)
+    rows = np.arange(len(bits))[:, None]
+    a = np.zeros((len(bits), n + 1, n + 1), dtype=np.int64)
+    a[rows, us, vs] = signs
+    a[rows, vs, us] = signs
+    return a[:, :n, :n]
+
+
+def _spectral_keys(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact cospectrality and coronal keys of signed adjacency matrices (B, n, n).
+
+    Row b of the first array holds tr(A^k) for k = 1..n; by Newton's
+    identities two matrices of order n have the same characteristic
+    polynomial iff these agree.  Row b of the second holds mu^T A^k mu
+    for k = 0..2n-1, with mu the canonical marking: the first 2n
+    coefficients of the coronal's expansion in 1/x.  Two coronals whose
+    denominators have degree n differ by a fraction with a degree-2n
+    denominator and a numerator of lower degree, which is zero iff those
+    2n coefficients agree; so equal rows mean equal reduced coronals.
+    Every entry is at most n * (n-1)^(2n) in size, exact in int64 for
+    n <= 7.
+    """
+    count, n, _ = a.shape
+    mu = np.where(a != 0, a, 1).prod(axis=2)
+    v = [mu]
+    for _ in range(n):
+        v.append(np.einsum("bij,bj->bi", a, v[-1]))
+    moments = np.empty((count, 2 * n), dtype=np.int64)
+    for j in range(n):
+        moments[:, 2 * j] = np.einsum("bi,bi->b", v[j], v[j])
+        moments[:, 2 * j + 1] = np.einsum("bi,bi->b", v[j], v[j + 1])
+    traces = np.empty((count, n), dtype=np.int64)
+    power = a
+    for k in range(n):
+        traces[:, k] = np.einsum("bii->b", power)
+        if k + 1 < n:
+            power = power @ a
+    return traces, moments
+
+
+def _certify_pair(h1: SignedGraph, h2: SignedGraph) -> None:
+    """Confirm by exact coronals that a pair has equal reduced coronals and
+    different characteristic polynomials; a failure is an internal bug."""
+    c1, c2 = graph_coronal(h1), graph_coronal(h2)
+    if c1.as_pair() != c2.as_pair() or c1.unreduced()[1] == c2.unreduced()[1]:
+        raise RuntimeError("search keys disagree with the exact coronals; this is a bug")
+
+
 def equienergetic_search(max_n: int = 6, find_all: bool = False):
     """Exhaustive scan for admissible equienergetic pairs at small order.
 
     Scans every signature of every connected graph on up to max_n
     vertices (one representative per isomorphism class of the underlying
     graph; energy, spectra and coronals are isomorphism-invariant, so the
-    reduction loses nothing).  Candidates are pre-filtered by batched
-    float energies, then certified exactly: identical reduced coronals
-    and different characteristic polynomials.  Returns a list of
-    (h1, h2) pairs; with find_all False the scan stops at the first hit.
+    reduction loses nothing).  max_n above 7, the largest order in the
+    networkx graph atlas, raises ValueError.  Signatures are sorted by
+    batched float energy and chained into clusters whose neighbours lie
+    within 1e-8.  Inside a cluster, candidates are grouped by exact
+    integer keys (power traces for the characteristic polynomial,
+    marking moments for the coronal, see `_spectral_keys`); a pair is
+    two candidates with equal coronals and different characteristic
+    polynomials, and each returned pair is confirmed with the exact
+    coronals.  Returns a list of (h1, h2) pairs; with find_all False the
+    scan stops at the first hit.
     """
+    if max_n > _ATLAS_MAX_N:
+        raise ValueError(
+            f"max_n must be at most {_ATLAS_MAX_N}, the largest order in the graph atlas"
+        )
     found: list[tuple[SignedGraph, SignedGraph]] = []
-    by_n: dict[int, list[tuple[int, tuple[tuple[int, int], ...]]]] = {}
+    by_n: dict[int, list[tuple[tuple[int, int], ...]]] = {}
     for n, edges in _atlas_connected(max_n):
-        by_n.setdefault(n, []).append((n, edges))
+        by_n.setdefault(n, []).append(edges)
     for n in sorted(by_n):
-        entries = []  # (energy, graph_index, signature_bits)
         graphs = by_n[n]
-        for gi, (_, edges) in enumerate(graphs):
+        # edge endpoints per graph, padded with (n, n) to a common width
+        us = np.full((len(graphs), max(len(e) for e in graphs)), n)
+        vs = us.copy()
+        for gi, edges in enumerate(graphs):
+            us[gi, : len(edges)], vs[gi, : len(edges)] = zip(*edges)
+        energies, gis, sigs = [], [], []
+        for gi, edges in enumerate(graphs):
             m = len(edges)
-            mats = np.zeros((2 ** m, n, n))
-            for bits in range(2 ** m):
-                for ei, (u, v) in enumerate(edges):
-                    s = -1.0 if (bits >> ei) & 1 else 1.0
-                    mats[bits, u, v] = s
-                    mats[bits, v, u] = s
-            w = np.linalg.eigvalsh(mats)
-            energies = np.sum(np.abs(w), axis=1)
-            entries.extend((float(energies[b]), gi, b) for b in range(2 ** m))
-        entries.sort()
-        exact: dict[tuple[int, int], tuple] = {}
+            for start in range(0, 2 ** m, _SEARCH_CHUNK):
+                bits = np.arange(start, min(start + _SEARCH_CHUNK, 2 ** m), dtype=np.int32)
+                a = _signature_matrices(n, us[gi : gi + 1, :m], vs[gi : gi + 1, :m], bits)
+                w = _lapack(np.linalg.eigvalsh, a.astype(float))
+                energies.append(np.sum(np.abs(w), axis=1))
+                gis.append(np.full(len(bits), gi, dtype=np.int32))
+                sigs.append(bits)
+        energy, gi_of, bits_of = (np.concatenate(x) for x in (energies, gis, sigs))
+        order = np.lexsort((bits_of, gi_of, energy))
+        energy, gi_of, bits_of = energy[order], gi_of[order], bits_of[order]
+        # clusters chain sorted energies whose successive gaps are <= 1e-8
+        cluster = np.concatenate(([0], np.cumsum(np.diff(energy) > 1e-8)))
+        candidates = np.flatnonzero(np.bincount(cluster)[cluster] >= 2)
 
-        def certify(gi: int, bits: int):
-            key = (gi, bits)
-            if key not in exact:
-                _, edges = graphs[gi]
-                sg = SignedGraph(
-                    n,
-                    ((u, v, -1 if (bits >> ei) & 1 else 1)
-                     for ei, (u, v) in enumerate(edges)),
-                )
-                cor = coronal(sg.adjacency(), canonical_marking(sg))
-                exact[key] = (sg, cor.unreduced()[1].coefficients, cor.as_pair())
-            return exact[key]
+        def graph(i: int) -> SignedGraph:
+            edges = graphs[gi_of[i]]
+            b = int(bits_of[i])
+            return SignedGraph(
+                n, ((u, v, -1 if (b >> e) & 1 else 1) for e, (u, v) in enumerate(edges))
+            )
 
-        i = 0
-        while i < len(entries):
-            j = i + 1
-            while j < len(entries) and entries[j][0] - entries[j - 1][0] <= 1e-8:
-                j += 1
-            if j - i >= 2:
-                # within a coronal class, keep one representative per char poly
-                groups: dict[tuple, dict[tuple, SignedGraph]] = {}
-                for _, gi, bits in entries[i:j]:
-                    sg, cp, cor = certify(gi, bits)
-                    key = tuple(q.coefficients for q in cor)
-                    reps = groups.setdefault(key, {})
-                    if cp not in reps:
-                        for other in reps.values():
-                            found.append((other, sg))
-                            if not find_all:
-                                return found
-                        reps[cp] = sg
-            i = j
+        current = -1
+        groups: dict[bytes, dict[bytes, int]] = {}
+        for start in range(0, len(candidates), _SEARCH_CHUNK):
+            idx = candidates[start : start + _SEARCH_CHUNK]
+            gsel = gi_of[idx]
+            traces, moments = _spectral_keys(
+                _signature_matrices(n, us[gsel], vs[gsel], bits_of[idx])
+            )
+            for i, cl, cp, key in zip(
+                idx.tolist(), cluster[idx].tolist(), map(bytes, traces), map(bytes, moments)
+            ):
+                if cl != current:
+                    # within a coronal class, keep one representative per char poly
+                    current, groups = cl, {}
+                reps = groups.setdefault(key, {})
+                if cp not in reps:
+                    for other in reps.values():
+                        pair = (graph(other), graph(i))
+                        _certify_pair(*pair)
+                        found.append(pair)
+                        if not find_all:
+                            return found
+                    reps[cp] = i
     return found

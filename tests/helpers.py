@@ -60,11 +60,13 @@ def bareiss_det(matrix) -> int:
             factor = m[r][col] / pivot
             if factor:
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise AssertionError(f"non-integer determinant {det} of an integer matrix")
     return int(det)
 
 
 def max_spectral_diff(a, b) -> float:
     """Largest elementwise gap between two descending spectra."""
-    assert len(a) == len(b)
+    if len(a) != len(b):
+        raise AssertionError(f"spectra of different lengths {len(a)} and {len(b)}")
     return max((abs(x - y) for x, y in zip(a, b)), default=0.0)

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -53,6 +55,51 @@ def test_degree_identities():
         for v in range(g.n):
             assert g.degree(v) == g.pos_degree(v) + g.neg_degree(v)
             assert g.signed_degree(v) == g.pos_degree(v) - g.neg_degree(v)
+
+
+def test_lazy_neighbor_index():
+    # a fresh graph (index not built) answers like one whose index is built
+    rng = random.Random(3)
+    for _ in range(20):
+        n = rng.randint(1, 8)
+        edges = random_signed_graph(rng, n).edges()
+        built, fresh = SignedGraph(n, edges), SignedGraph(n, edges)
+        built.degrees()
+        assert fresh == built and hash(fresh) == hash(built)
+        assert fresh.degrees() == built.degrees()
+        for v in range(n):
+            assert fresh.neighbors(v) == built.neighbors(v)
+            assert fresh.signed_degree(v) == built.signed_degree(v)
+        assert fresh == built and hash(fresh) == hash(built)
+
+
+def test_lazy_neighbor_index_concurrent_first_use():
+    # four threads race to build the index of one graph; each must see
+    # the same neighbours as a graph indexed on a single thread
+    rng = random.Random(4)
+    edges = random_signed_graph(rng, 60, p=0.3).edges()
+    want = [SignedGraph(60, edges).neighbors(v) for v in range(60)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            g = SignedGraph(60, edges)
+            barrier = threading.Barrier(4, timeout=10)
+            seen = [None] * 4
+
+            def read(k):
+                barrier.wait()
+                seen[k] = [g.neighbors(v) for v in range(60)]
+
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+                assert not t.is_alive()
+            assert seen == [want] * 4
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_matrix_definitions():

@@ -4,6 +4,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgcorona import (
     IntPolynomial,
@@ -20,6 +22,7 @@ from sgcorona import (
     empty_graph,
     graph_coronal,
     integer_roots,
+    integrality,
     is_balanced,
     mu_signed_graph,
     path_graph,
@@ -157,6 +160,27 @@ def test_char_poly_against_determinant_oracle():
         for t in (-3, -1, 0, 2, 5):
             shifted = [[t * (1 if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
             assert f(t) == bareiss_det(shifted)
+
+
+@st.composite
+def symmetric_int_matrices(draw, max_n=6, max_entry=4):
+    n = draw(st.integers(1, max_n))
+    upper = draw(st.lists(st.integers(-max_entry, max_entry),
+                          min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    m = [[0] * n for _ in range(n)]
+    cells = iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = next(cells)
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_int_matrices(), st.integers(-6, 6))
+def test_property_char_poly_matches_bareiss(m, k):
+    n = len(m)
+    shifted = [[k * (i == j) - m[i][j] for j in range(n)] for i in range(n)]
+    assert char_poly(m)(k) == bareiss_det(shifted)
 
 
 def test_char_poly_switching_invariant():
@@ -373,6 +397,27 @@ def test_integer_roots():
     roots, rest = integer_roots(poly(0, -2, 0, 1))
     assert roots == {0: 1}
     assert rest == poly(-2, 0, 1)
+
+
+def test_integer_roots_without_bound_is_fast():
+    # the root bound must follow the spectral radius (about 30 here), not
+    # the coefficients (the Cauchy bound is ~1e14 for a random 30-vertex
+    # graph), and agree with integrality's row-sum-bounded scan
+    rng = random.Random(30)
+    graphs = [random_signed_graph(rng, 30), complete_graph(30),
+              complete_graph(30, [rng.choice((1, -1)) for _ in range(435)])]
+    for g in graphs:
+        p = char_poly(g.adjacency())
+        start = time.perf_counter()
+        roots, rest = integer_roots(p)
+        assert time.perf_counter() - start < 1.0
+        assert (roots, rest) == integer_roots(p, bound=29)
+        result = integrality(g)
+        assert result.integral == (rest.degree == 0)
+        if result.integral:
+            assert sorted(result.eigenvalues) == sorted(
+                r for r, mult in roots.items() for _ in range(mult))
+    assert integer_roots(char_poly(complete_graph(30).adjacency()))[0] == {29: 1, -1: 29}
 
 
 def test_coronal_catalog_co_regular():

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -26,10 +27,12 @@ from sgcorona import (
     equienergetic_product_pair,
     equienergetic_search,
     induced_subgraph,
+    graph_coronal,
     integrality,
     is_balanced,
     jacobi_eigh,
     path_graph,
+    product_char_poly_A,
     real_roots,
     regularity,
     spectrum,
@@ -38,6 +41,7 @@ from sgcorona import (
     switching_iso_witness,
     vertex_corona,
 )
+from sgcorona.spectra import _spectral_keys
 from helpers import (
     all_signings,
     max_spectral_diff,
@@ -290,6 +294,74 @@ def test_equienergetic_rejects_order_mismatch():
 
 def test_equienergetic_search_small_orders_empty():
     assert equienergetic_search(max_n=4) == []
+
+
+# the first admissible pair at order 6, pinned from the scan that certified
+# every candidate with the exact coronal kernel
+FIRST_PAIR_EDGES = (
+    [(0, 1, 1), (0, 2, 1), (0, 4, 1), (0, 5, -1), (1, 2, -1), (2, 3, 1), (2, 5, 1), (3, 4, 1)],
+    [(0, 1, 1), (0, 2, -1), (0, 4, -1), (0, 5, -1), (1, 2, -1), (2, 3, -1), (2, 5, 1),
+     (3, 4, -1)],
+)
+
+
+@pytest.fixture(scope="module")
+def first_pair():
+    pairs = equienergetic_search(max_n=6)
+    assert len(pairs) == 1
+    return pairs[0]
+
+
+def test_equienergetic_search_first_pair_pinned(first_pair):
+    h1, h2 = first_pair
+    assert (h1.n, h2.n) == (6, 6)
+    assert (h1.edges(), h2.edges()) == FIRST_PAIR_EDGES
+
+
+def test_equienergetic_search_rejects_orders_beyond_atlas():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="at most 7"):
+        equienergetic_search(max_n=8)
+    assert time.perf_counter() - start < 1.0
+
+
+def _first_index(keys):
+    """For each position, the first position holding an equal key."""
+    first = {}
+    return [first.setdefault(k, i) for i, k in enumerate(keys)]
+
+
+def test_search_keys_agree_with_exact_kernel():
+    # equal trace rows iff equal char polys, equal moment rows iff equal
+    # reduced coronals, over every signature of a few base graphs; the
+    # last base carries the first admissible pair, so one coronal class
+    # there holds several char polys
+    pair_base = SignedGraph(6, [(u, v, 1) for u, v, _ in FIRST_PAIR_EDGES[0]])
+    for base in (complete_graph(4), cycle_graph(5), star_graph(4), complete_graph(5),
+                 pair_base):
+        graphs = list(all_signings(base))
+        traces, moments = _spectral_keys(np.array([g.adjacency() for g in graphs]))
+        exact = [graph_coronal(g) for g in graphs]
+        assert _first_index(map(bytes, traces)) == _first_index(
+            c.unreduced()[1] for c in exact)
+        assert _first_index(map(bytes, moments)) == _first_index(c.as_pair() for c in exact)
+
+
+def test_first_pair_products_dense_check(first_pair):
+    # the product identity against the dense char poly of the built
+    # product, for first factors of order 1 to 4
+    h1, h2 = first_pair
+    factors = (empty_graph(1), path_graph(2, -1), cycle_graph(3, [1, -1, 1]),
+               star_graph(3, [1, -1, -1]))
+    for g in factors:
+        dense = []
+        for h in (h1, h2):
+            prod, _ = add_vertex_corona(g, h)
+            dense.append(char_poly(prod.adjacency()))
+            assert product_char_poly_A(g, h) == dense[-1]
+        assert dense[0] != dense[1]
+        _, _, report = equienergetic_product_pair(g, h1, h2)
+        assert not report.products_cospectral
 
 
 def test_known_admissible_pair_verifies():
