@@ -579,26 +579,18 @@ def _variations(chain: list[IntPolynomial], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _root_bound(p: IntPolynomial) -> int:
-    """Cauchy bound: every real root lies strictly inside [-B, B]."""
-    lead = abs(p.leading)
-    top = max(abs(c) for c in p.coefficients[:-1]) if p.degree > 0 else 0
-    return 1 + -(-top // lead)
-
-
 def _isolate_squarefree(q: IntPolynomial, bound: int) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint open intervals each holding exactly one real root of q.
+    """Disjoint half-open intervals (a, b], each holding one real root of q.
 
-    Exact rational roots are returned as degenerate [r, r] intervals.
+    Every real root must lie strictly inside (-bound, bound).  With the
+    chain's zeros skipped, V(a) - V(b) counts the roots in (a, b] even
+    when an endpoint is a root, so bisection needs no special case for
+    a midpoint that is itself a root.
     """
     if q.degree <= 0:
         return []
     chain = _sturm_chain(q)
     lo, hi = Fraction(-bound), Fraction(bound)
-    exact: list[Fraction] = []
-    for end in (lo, hi):
-        if q(end) == 0:  # pragma: no cover - bound is strict by construction
-            raise AssertionError("root bound not strict")
     out: list[tuple[Fraction, Fraction]] = []
     stack = [(lo, hi, _variations(chain, lo) - _variations(chain, hi))]
     while stack:
@@ -609,50 +601,31 @@ def _isolate_squarefree(q: IntPolynomial, bound: int) -> list[tuple[Fraction, Fr
             out.append((a, b))
             continue
         mid = (a + b) / 2
-        if q(mid) == 0:
-            # the midpoint is itself a root: carve out a punctured
-            # neighbourhood small enough that no other root is lost,
-            # certified by the Sturm counts adding back up
-            exact.append(mid)
-            delta = (b - a) / 4
-            while True:
-                lo2, hi2 = mid - delta, mid + delta
-                if q(lo2) != 0 and q(hi2) != 0:
-                    c_left = _variations(chain, a) - _variations(chain, lo2)
-                    c_right = _variations(chain, hi2) - _variations(chain, b)
-                    if c_left + c_right == count - 1:
-                        stack.append((a, lo2, c_left))
-                        stack.append((hi2, b, c_right))
-                        break
-                delta = delta / 2
-        else:
-            v = _variations(chain, mid)
-            stack.append((a, mid, _variations(chain, a) - v))
-            stack.append((mid, b, v - _variations(chain, b)))
-    out.extend((r, r) for r in exact)
-    out.sort()
+        v = _variations(chain, mid)
+        stack.append((a, mid, _variations(chain, a) - v))
+        stack.append((mid, b, v - _variations(chain, b)))
     return out
 
 
 def _refine_root(q: IntPolynomial, a: Fraction, b: Fraction, width: Fraction) -> Fraction:
-    """Bisect a sign-changing bracket of a simple root down to the width."""
-    if a == b:
-        return a
-    fa = q(a)
-    if fa == 0:
-        return a
-    if q(b) == 0:
+    """Bisect (a, b], holding one simple root of q, down to the width.
+
+    The bracket keeps q's sign at b, which q has everywhere between the
+    root and b; a root at b or at a midpoint is returned exactly.
+    """
+    fb = q(b)
+    if fb == 0:
         return b
-    sa = 1 if fa > 0 else -1
+    sb = fb > 0
     while b - a > width:
         mid = (a + b) / 2
         fm = q(mid)
         if fm == 0:
             return mid
-        if (1 if fm > 0 else -1) == sa:
-            a = mid
-        else:
+        if (fm > 0) == sb:
             b = mid
+        else:
+            a = mid
     return (a + b) / 2
 
 
@@ -662,7 +635,7 @@ def real_roots(p: IntPolynomial, bound: int | None = None, tol: float = 1e-11) -
     Roots are isolated exactly (Yun squarefree split, then Sturm-sequence
     bisection with integer arithmetic) and only the final refinement is
     rounded to float.  `bound` may supply a known bound on |root| to keep
-    the search window small; otherwise the Cauchy bound is used.  tol
+    the search window small; otherwise the Fujiwara bound is used.  tol
     must be finite and at least about 5e-16 (rationals with denominator
     up to 10^15 carry the bracket width); anything else raises ValueError.
     """
@@ -673,7 +646,7 @@ def real_roots(p: IntPolynomial, bound: int | None = None, tol: float = 1e-11) -
         raise ValueError(f"tol must be finite and at least about 5e-16, got {tol!r}")
     roots: list[float] = []
     for factor, mult in squarefree_decomposition(p):
-        b = _root_bound(factor)
+        b = _fujiwara_bound(factor) + 1
         if bound is not None:
             b = min(b, int(bound) + 1)
         for a, c in _isolate_squarefree(factor, b):

@@ -1,12 +1,11 @@
-"""Numeric spectra, energy, integrality, corollary solvers, equienergetics.
+"""Numeric spectra, energy, integrality, product spectra, equienergetics.
 
 Every numeric eigenvalue comes from one solver, LAPACK's symmetric
-driver through numpy (eigh/eigvalsh), including the roots of the
-corollaries' cubic and quartic factors, which are taken as the
-eigenvalues of small symmetric matrices with those characteristic
-polynomials.  Exact decisions (integrality, cospectrality) are delegated
-to the integer characteristic-polynomial machinery; floats only ever
-carry approximations of real spectra.
+driver through numpy (eigh/eigvalsh).  Corona product spectra come from
+the factorisation behind the paper's identity, never from the dense
+product; the corollaries are special cases of it.  Exact decisions
+(integrality, cospectrality) are delegated to the integer
+characteristic-polynomial machinery; floats only carry approximations.
 """
 
 from __future__ import annotations
@@ -15,14 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SignedGraph, canonical_marking, is_balanced, mu_signed_graph, regularity
-from .exactpoly import (
-    IntPolynomial,
-    char_poly,
-    graph_coronal,
-    integer_roots,
-    product_char_poly_A,
+from .core import (
+    SignedGraph,
+    canonical_marking,
+    is_balanced,
+    mu_signed_graph,
+    regularity,
+    star_graph,
 )
+from .exactpoly import char_poly, graph_coronal, integer_roots, product_char_poly_A
 from .products import add_vertex_corona
 
 __all__ = [
@@ -35,9 +35,9 @@ __all__ = [
     "eig_sym",
     "spectrum",
     "energy",
-    "is_integral",
     "integrality",
     "cospectral",
+    "product_spectrum",
     "corollary_coregular_spectrum",
     "corollary_star_spectrum",
     "equienergetic_product_pair",
@@ -50,7 +50,6 @@ class Spectrum:
     """Real eigenvalues sorted descending; multiplicity by repetition."""
 
     values: tuple[float, ...]
-    source: str | None = None
 
     def __len__(self) -> int:
         return len(self.values)
@@ -98,15 +97,15 @@ def jacobi_eigh(matrix):
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def eig_sym(matrix, source: str | None = None) -> Spectrum:
+def eig_sym(matrix) -> Spectrum:
     """Spectrum of a real symmetric matrix via LAPACK (numpy eigvalsh)."""
     w = _lapack(np.linalg.eigvalsh, _symmetric(matrix))
-    return Spectrum(tuple(w[::-1].tolist()), source)
+    return Spectrum(tuple(w[::-1].tolist()))
 
 
 def spectrum(g: SignedGraph, which: str = "A") -> Spectrum:
     """Spectrum of the graph's A, L, or Q matrix."""
-    return eig_sym(g.matrix(which), source=which)
+    return eig_sym(g.matrix(which))
 
 
 @dataclass(frozen=True)
@@ -155,81 +154,69 @@ def integrality(g: SignedGraph) -> IntegralityResult:
     return IntegralityResult(True, tuple(vals))
 
 
-def is_integral(g: SignedGraph) -> IntegralityResult:
-    return integrality(g)
-
-
 def cospectral(g1: SignedGraph, g2: SignedGraph, which: str = "A") -> bool:
     """Exact M-cospectrality via characteristic-polynomial equality."""
     return char_poly(g1.matrix(which)) == char_poly(g2.matrix(which))
 
 
-# -- corollary spectrum assembly ----------------------------------------------
+# -- product spectra ----------------------------------------------------------
 
 
-def _factor_roots(ts, template: list[list[float]]) -> list[float]:
-    """Union over t in ts of the eigenvalues of template with entry (0, 1) = t.
+def product_spectrum(g1: SignedGraph, g2: SignedGraph) -> Spectrum:
+    """Adjacency spectrum of the add-vertex corona g1 (*) g2, from the factors.
 
-    Each template is chosen so that its characteristic polynomial, with t
-    in the (0, 1)/(1, 0) slots, is one corollary factor polynomial; one
-    batched LAPACK call then yields every factor's (all real) roots.
+    Switching copy i of g2 by mu1(i) turns the product's adjacency into
+    A(g1_mu) (x) E + I (x) B over the slots (u, a, v_1..v_n2) of each
+    first-factor vertex, where E swaps the u- and a-slots and
+    B = [[0, 0, 0], [0, 0, mu2^T], [0, mu2, A(g2)]].  Diagonalising
+    A(g1_mu) leaves one block M_t = t E + B of order n2 + 2 per
+    eigenvalue t, so the spectrum is the union of spec(M_t): one
+    eigensolve of order n1 and one batched eigensolve of the blocks.
+    Exact for every pair of factors, including empty ones.
     """
-    m = np.repeat(np.array([template], dtype=float), len(ts), axis=0)
-    m[:, 0, 1] = m[:, 1, 0] = ts
-    return _lapack(np.linalg.eigvalsh, m).ravel().tolist()
+    n2 = g2.n
+    t = eig_sym(mu_signed_graph(g1, canonical_marking(g1)).adjacency()).values
+    b = np.zeros((n2 + 2, n2 + 2))
+    b[1, 2:] = b[2:, 1] = canonical_marking(g2).values
+    b[2:, 2:] = g2.adjacency()
+    m = np.repeat(b[None], len(t), axis=0)
+    m[:, 0, 1] = m[:, 1, 0] = t
+    w = np.sort(_lapack(np.linalg.eigvalsh, m).ravel())[::-1]
+    return Spectrum(tuple(w.tolist()))
 
 
 def corollary_coregular_spectrum(g1: SignedGraph, g2: SignedGraph) -> Spectrum:
-    """Assembled corona spectrum for a co-regular second factor.
+    """Corona spectrum for a co-regular second factor, from `product_spectrum`.
 
     Requires g2 co-regular with pair (r, k); k is then an adjacency
-    eigenvalue of g2 with some exact multiplicity p.  The product
-    spectrum is: every eigenvalue of g2 other than k repeated n1 times,
-    the three real roots of x^3 - k x^2 - (n2 + t^2) x + k t^2 for each
-    eigenvalue t of g1_mu, and k with multiplicity n1*(p-1).  The cubic is
-    det(xI - M) for M = [[0, t, 0], [t, 0, sqrt(n2)], [0, sqrt(n2), k]].
+    eigenvalue of g2 (A(g2) 1 = k 1) with some multiplicity p.  The
+    product spectrum is: every eigenvalue of g2 other than k repeated n1
+    times, the three real roots of x^3 - k x^2 - (n2 + t^2) x + k t^2 for
+    each eigenvalue t of g1_mu, and k with multiplicity n1*(p-1).  Every
+    vertex of g2 has the same number of negative edges, so its canonical
+    marking is constant, an eigenvector for k; each block M_t therefore
+    keeps the span of the u-slot, the a-slot and the marking, where it
+    acts as M = [[0, t, 0], [t, 0, sqrt(n2)], [0, sqrt(n2), k]], and the
+    cubic is det(xI - M).
     """
-    rep = regularity(g2)
-    if rep.co_regular_pair is None:
+    if regularity(g2).co_regular_pair is None:
         raise ValueError("second factor must be co-regular (degree- and net-regular)")
-    _, k = rep.co_regular_pair
-    n1, n2 = g1.n, g2.n
-    f2 = char_poly(g2.adjacency())
-    p_mult = 0
-    lin = IntPolynomial((-k, 1))
-    q = f2
-    while q.degree >= 1 and q(k) == 0:
-        p_mult += 1
-        q = q.exact_div(lin)
-    if p_mult == 0:
-        raise ValueError(f"net degree {k} is not an eigenvalue of the second factor")
-    w2 = list(eig_sym(g2.adjacency()).values)
-    # drop the p_mult values closest to k (they are the exact copies of k)
-    w2.sort(key=lambda x: abs(x - k))
-    others = w2[p_mult:]
-    values: list[float] = []
-    for lam in others:
-        values.extend([lam] * n1)
-    lam1mu = eig_sym(mu_signed_graph(g1, canonical_marking(g1)).adjacency()).values
-    s = n2 ** 0.5
-    values.extend(_factor_roots(lam1mu, [[0, 0, 0], [0, 0, s], [0, s, k]]))
-    values.extend([float(k)] * (n1 * (p_mult - 1)))
-    values.sort(reverse=True)
-    return Spectrum(tuple(values), source="A")
+    return product_spectrum(g1, g2)
 
 
 def corollary_star_spectrum(g1: SignedGraph, n2: int, center_mark: int) -> Spectrum:
-    """Assembled spectrum of g1 (*) star-with-n2-leaves, for balanced g1.
+    """Spectrum of g1 (*) star-with-n2-leaves, for balanced g1.
 
     Zero appears with multiplicity n1*(n2-1); for each adjacency
     eigenvalue t of g1 the quartic
     x^4 - (2 n2 + 1 + t^2) x^2 - 2 n2 mu(center) x + n2 t^2 contributes
     four real roots.  Requires g1 balanced (so g1 and g1_mu are
-    cospectral, making the quartic's t the eigenvalues of g1 itself);
-    the star's signature must realize the requested center mark through
-    its canonical marking.  With c = mu(center) and s = sqrt(n2), the
-    quartic is det(xI - M) for
+    cospectral, making the quartic's t the eigenvalues of g1 itself).
+    With c = mu(center) and s = sqrt(n2), the quartic is det(xI - M) for
     M = [[0, t, 0, 0], [t, 0, 1, c s], [0, 1, 0, s], [0, c s, s, 0]].
+    The star's signs enter the spectrum only through c, so the spectrum
+    is that of the product with the star whose first edge carries c and
+    whose other edges are positive, taken from `product_spectrum`.
     """
     if center_mark not in (1, -1):
         raise ValueError("center mark must be +1 or -1")
@@ -237,14 +224,7 @@ def corollary_star_spectrum(g1: SignedGraph, n2: int, center_mark: int) -> Spect
         raise ValueError("star needs at least one leaf")
     if not is_balanced(g1):
         raise ValueError("first factor must be balanced for the star corollary")
-    n1 = g1.n
-    values = [0.0] * (n1 * (n2 - 1))
-    s = n2 ** 0.5
-    cs = center_mark * s
-    template = [[0, 0, 0, 0], [0, 0, 1, cs], [0, 1, 0, s], [0, cs, s, 0]]
-    values.extend(_factor_roots(eig_sym(g1.adjacency()).values, template))
-    values.sort(reverse=True)
-    return Spectrum(tuple(values), source="A")
+    return product_spectrum(g1, star_graph(n2, [center_mark] + [1] * (n2 - 1)))
 
 
 # -- equienergetic construction -----------------------------------------------
@@ -271,15 +251,20 @@ class EquienergeticReport:
 def equienergetic_product_pair(g: SignedGraph, h1: SignedGraph, h2: SignedGraph):
     """Build g (*) h1 and g (*) h2 from an admissible equienergetic pair.
 
-    Admissible means: equal order, identical reduced adjacency coronals
-    (exact), equal energy within 1e-8, and exactly non-cospectral.  All
-    violations are collected and raised together.  The returned report
-    certifies the products' energies agree within 1e-6 and their
-    characteristic polynomials differ exactly; those come from the
-    product identity (`product_char_poly_A`: the factors' coronal pair
-    and the char poly of A(g_mu)^2), never from the dense products.
+    Admissible means: a first factor with at least one vertex (else
+    both products are empty), equal order, identical reduced adjacency
+    coronals (exact), equal energy within 1e-8, and exactly
+    non-cospectral.  All violations are collected and raised together.
+    The returned report certifies the products' energies agree within
+    1e-6 and their characteristic polynomials differ exactly; those come
+    from the factors, never from the dense products: the energies from
+    `product_spectrum`, the characteristic polynomials from the product
+    identity (`product_char_poly_A`: the factors' coronal pair and the
+    char poly of A(g_mu)^2).
     """
     violations = []
+    if g.n == 0:
+        violations.append("empty first factor")
     if h1.n != h2.n:
         violations.append("order mismatch")
     c1, c2 = graph_coronal(h1), graph_coronal(h2)
@@ -294,7 +279,7 @@ def equienergetic_product_pair(g: SignedGraph, h1: SignedGraph, h2: SignedGraph)
         raise PreconditionError(violations)
     p1, _ = add_vertex_corona(g, h1)
     p2, _ = add_vertex_corona(g, h2)
-    pe1, pe2 = energy(p1).energy, energy(p2).energy
+    pe1, pe2 = (float(sum(abs(v) for v in product_spectrum(g, h))) for h in (h1, h2))
     gap = abs(pe1 - pe2)
     cospec = product_char_poly_A(g, h1) == product_char_poly_A(g, h2)
     if gap > 1e-6 or cospec:

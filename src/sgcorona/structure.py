@@ -97,25 +97,12 @@ def edge_stats_formula(g1: SignedGraph, g2: SignedGraph) -> EdgeStats:
 
 @dataclass(frozen=True)
 class TriadStats:
-    """Triangle census by negative-edge count (t_i = triads with i negatives).
-
-    The formula variant also records the refined edge classes of the copy
-    factor (edge sign x endpoint-mark pair) and the a-block mark counts it
-    multiplies them with; the enumeration variant leaves those at zero.
-    """
+    """Triangle census by negative-edge count (t_i = triads with i negatives)."""
 
     t0: int
     t1: int
     t2: int
     t3: int
-    e2_pos_pp: int = 0
-    e2_pos_pm: int = 0
-    e2_pos_mm: int = 0
-    e2_neg_pp: int = 0
-    e2_neg_pm: int = 0
-    e2_neg_mm: int = 0
-    nu_positive: int = 0
-    nu_negative: int = 0
 
     @property
     def total(self) -> int:
@@ -160,10 +147,9 @@ def triad_stats_formula(g1: SignedGraph, g2: SignedGraph) -> TriadStats:
     negative count is set by the anchor's mark, the edge sign, and the
     endpoint marks; copy-internal triangles replicate g2's census n1
     times; the duplication block is bipartite between its blocks and so
-    triangle-free, but its census terms are kept for completeness.
+    adds no triangle.
     """
     mu1 = canonical_marking(g1)
-    dt = enumerate_triads(duplication(g1)).counts
     ct = enumerate_triads(g2).counts
     cls = _edge_classes(g2)
     nup = sum(1 for v in mu1 if v > 0)
@@ -171,16 +157,11 @@ def triad_stats_formula(g1: SignedGraph, g2: SignedGraph) -> TriadStats:
     n1 = g1.n
     pos_pp, pos_pm, pos_mm = cls[(1, "pp")], cls[(1, "pm")], cls[(1, "mm")]
     neg_pp, neg_pm, neg_mm = cls[(-1, "pp")], cls[(-1, "pm")], cls[(-1, "mm")]
-    t0 = dt[0] + n1 * ct[0] + nup * pos_pp + num * pos_mm
-    t1 = dt[1] + n1 * ct[1] + nup * (pos_pm + neg_pp) + num * (pos_pm + neg_mm)
-    t2 = dt[2] + n1 * ct[2] + nup * (pos_mm + neg_pm) + num * (pos_pp + neg_pm)
-    t3 = dt[3] + n1 * ct[3] + nup * neg_mm + num * neg_pp
-    return TriadStats(
-        t0, t1, t2, t3,
-        e2_pos_pp=pos_pp, e2_pos_pm=pos_pm, e2_pos_mm=pos_mm,
-        e2_neg_pp=neg_pp, e2_neg_pm=neg_pm, e2_neg_mm=neg_mm,
-        nu_positive=nup, nu_negative=num,
-    )
+    t0 = n1 * ct[0] + nup * pos_pp + num * pos_mm
+    t1 = n1 * ct[1] + nup * (pos_pm + neg_pp) + num * (pos_pm + neg_mm)
+    t2 = n1 * ct[2] + nup * (pos_mm + neg_pm) + num * (pos_pp + neg_pm)
+    t3 = n1 * ct[3] + nup * neg_mm + num * neg_pp
+    return TriadStats(t0, t1, t2, t3)
 
 
 def unbalance_criteria(g2: SignedGraph) -> list[int]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from sgcorona import Marking, SignedGraph
+from sgcorona import Marking, SignedGraph, complete_graph
 
 
 def all_signings(base: SignedGraph):
@@ -37,6 +37,20 @@ def random_balanced_graph(rng, n: int, p: float = 0.5) -> SignedGraph:
             if rng.random() < p:
                 edges.append((u, v, marks[u] * marks[v]))
     return SignedGraph(n, edges)
+
+
+def known_admissible_pair() -> tuple[SignedGraph, SignedGraph]:
+    """K_{3,3} with a negative perfect matching and K_6 with two negative
+    triangles: both co-regular with net degree 1, both energy 10, with
+    different spectra and equal coronals."""
+    k33_edges = []
+    for u in range(3):
+        for v in range(3, 6):
+            sign = -1 if v - 3 == u else 1
+            k33_edges.append((u, v, sign))
+    neg = {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)}
+    k6 = [(u, v, -1 if (u, v) in neg else 1) for u, v, _ in complete_graph(6).edges()]
+    return SignedGraph(6, k33_edges), SignedGraph(6, k6)
 
 
 def bareiss_det(matrix) -> int:

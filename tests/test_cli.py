@@ -5,7 +5,7 @@ import pytest
 
 from sgcorona import SignedGraph, cycle_graph, path_graph
 from sgcorona.cli import GraphFormatError, main, parse_graph, write_graph
-from helpers import random_signed_graph
+from helpers import known_admissible_pair, random_signed_graph
 
 
 def graph_file(tmp_path, name, text):
@@ -185,6 +185,14 @@ def test_equienergetic_command_rejection(tmp_path, capsys):
     c3n = graph_file(tmp_path, "c3n.sg", "sg 3\ne 1 2 -\ne 2 3 -\ne 3 1 -\n")
     assert main(["equienergetic", p2, c3, c3n]) == 1
     assert "rejected: coronal mismatch" in capsys.readouterr().out
+
+
+def test_equienergetic_command_rejects_empty_first_factor(tmp_path, capsys):
+    k0 = graph_file(tmp_path, "k0.sg", "sg 0\n")
+    h1, h2 = (graph_file(tmp_path, f"h{i}.sg", write_graph(h))
+              for i, h in enumerate(known_admissible_pair()))
+    assert main(["equienergetic", k0, h1, h2]) == 1
+    assert capsys.readouterr().out == "rejected: empty first factor\n"
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

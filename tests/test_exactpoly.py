@@ -379,6 +379,21 @@ def test_real_roots_ignore_complex_pairs():
     assert real_roots(poly(0, 1, 0, 1)) == [0.0]
 
 
+def test_real_roots_on_bisection_points():
+    # x (2x - 1) (4x + 1) (x^2 - 2): with bound 3 the search window is
+    # (-4, 4], so 0, 1/2 and -1/4 are each a bisection midpoint, the
+    # first of them at the top level, and come back exactly
+    p = X * poly(-1, 2) * poly(1, 4) * poly(-2, 0, 1)
+    expected = [-math.sqrt(2), -0.25, 0.0, 0.5, math.sqrt(2)]
+    roots = real_roots(p, bound=3)
+    assert roots[1:4] == [-0.25, 0.0, 0.5]
+    assert roots == pytest.approx(expected, abs=1e-11)
+    assert real_roots(p) == pytest.approx(expected, abs=1e-11)
+    # a squared factor is isolated on its own and repeats its root
+    roots = real_roots(p * poly(-1, 2), bound=3)
+    assert roots == pytest.approx(expected[:4] + [0.5] + expected[4:], abs=1e-11)
+
+
 def test_real_roots_rejects_unusable_tol():
     # tol below ~5e-16 rounds to a zero bracket width, which used to bisect
     # an irrational root forever

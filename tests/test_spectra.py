@@ -4,10 +4,11 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgcorona import (
+    IntPolynomial,
     Marking,
     PreconditionError,
     SignedGraph,
@@ -31,8 +32,10 @@ from sgcorona import (
     integrality,
     is_balanced,
     jacobi_eigh,
+    mu_signed_graph,
     path_graph,
     product_char_poly_A,
+    product_spectrum,
     real_roots,
     regularity,
     spectrum,
@@ -44,6 +47,7 @@ from sgcorona import (
 from sgcorona.spectra import _spectral_keys
 from helpers import (
     all_signings,
+    known_admissible_pair,
     max_spectral_diff,
     random_balanced_graph,
     random_marking,
@@ -244,6 +248,48 @@ def test_star_matches_direct():
         assert max_spectral_diff(got.values, spectrum(prod).values) < 1e-8
 
 
+def _squared_charpoly(g):
+    a = np.array(g.adjacency(), dtype=np.int64).reshape(g.n, g.n)
+    return char_poly((a @ a).tolist())
+
+
+def _factor_product(g_sq, a, b, n1):
+    """sum_j g_j a^j b^(n1-j), which is the product of a - s b over the
+    eigenvalues s of the squared adjacency whose char poly is g_sq."""
+    return sum((g_sq.coeff(j) * a ** j * b ** (n1 - j) for j in range(n1 + 1)), IntPolynomial())
+
+
+def test_coregular_char_poly_closed_form():
+    # the paper's cubic, exactly: (f2 / (x - k))^n1 * prod_t (cubic at t)
+    rng = random.Random(52)
+    x = IntPolynomial.x()
+    for _ in range(30):
+        g1 = random_signed_graph(rng, rng.randint(0, 3))
+        g2 = rng.choice(CO_REGULAR_POOL)
+        _, k = regularity(g2).co_regular_pair
+        n1, n2 = g1.n, g2.n
+        g_sq = _squared_charpoly(mu_signed_graph(g1, canonical_marking(g1)))
+        cubics = _factor_product(g_sq, x ** 3 - k * x * x - n2 * x, x - k, n1)
+        prod, _ = add_vertex_corona(g1, g2)
+        f2 = char_poly(g2.adjacency())
+        assert char_poly(prod.adjacency()) == f2.exact_div(x - k) ** n1 * cubics
+
+
+def test_star_char_poly_closed_form():
+    # the paper's quartic, exactly: x^(n1 (n2 - 1)) * prod_t (quartic at t)
+    rng = random.Random(53)
+    x = IntPolynomial.x()
+    for _ in range(30):
+        g1 = random_balanced_graph(rng, rng.randint(0, 3))
+        n1, n2 = g1.n, rng.randint(1, 5)
+        star = star_graph(n2, [rng.choice((1, -1)) for _ in range(n2)])
+        c = canonical_marking(star)[0]
+        quartic_part = x ** 4 - (2 * n2 + 1) * x * x - 2 * n2 * c * x
+        quartics = _factor_product(_squared_charpoly(g1), quartic_part, x * x - n2, n1)
+        prod, _ = add_vertex_corona(g1, star)
+        assert char_poly(prod.adjacency()) == x ** (n1 * (n2 - 1)) * quartics
+
+
 def test_star_rejects_unbalanced_first_factor():
     with pytest.raises(ValueError):
         corollary_star_spectrum(cycle_graph(3, -1), 2, 1)
@@ -365,18 +411,7 @@ def test_first_pair_products_dense_check(first_pair):
 
 
 def test_known_admissible_pair_verifies():
-    # K_{3,3} with a negative perfect matching vs K_6 with two negative
-    # triangles: both co-regular with net degree 1, both energy 10,
-    # different spectra
-    k33_edges = []
-    for u in range(3):
-        for v in range(3, 6):
-            sign = -1 if v - 3 == u else 1
-            k33_edges.append((u, v, sign))
-    h1 = SignedGraph(6, k33_edges)
-    neg = {(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)}
-    h2 = complete_graph(6)
-    h2 = SignedGraph(6, [(u, v, -1 if (u, v) in neg else 1) for u, v, _ in h2.edges()])
+    h1, h2 = known_admissible_pair()
     assert regularity(h1).co_regular_pair == (3, 1)
     assert regularity(h2).co_regular_pair == (5, 1)
     assert abs(energy(h1).energy - 10) < 1e-8
@@ -385,6 +420,14 @@ def test_known_admissible_pair_verifies():
     assert report.energy_gap <= 1e-6
     assert not report.products_cospectral
     assert p1.n == p2.n == 3 * 8
+
+
+def test_equienergetic_rejects_empty_first_factor():
+    # both products would be empty, hence equal; before the check this
+    # surfaced as an internal-bug RuntimeError
+    with pytest.raises(PreconditionError) as info:
+        equienergetic_product_pair(empty_graph(0), *known_admissible_pair())
+    assert info.value.violations == ["empty first factor"]
 
 
 # -- cross-checks against the exact root oracle ---------------------------------------
@@ -429,15 +472,26 @@ CO_REGULAR_POOL = [
 
 
 @st.composite
-def signed_graphs(draw, max_n=4):
-    n = draw(st.integers(1, max_n))
+def signed_graphs(draw, max_n=4, min_n=1):
+    n = draw(st.integers(min_n, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     signs = draw(st.lists(st.sampled_from((0, 1, -1)), min_size=len(pairs), max_size=len(pairs)))
     return SignedGraph(n, [(u, v, s) for (u, v), s in zip(pairs, signs) if s])
 
 
 def _dense_spectrum(g):
-    return np.linalg.eigvalsh(g.adjacency())[::-1]
+    return np.linalg.eigvalsh(np.array(g.adjacency(), dtype=float).reshape(g.n, g.n))[::-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_graphs(min_n=0), signed_graphs(min_n=0))
+@example(empty_graph(0), cycle_graph(3))
+@example(path_graph(2, -1), empty_graph(0))
+def test_property_product_spectrum_matches_dense(g1, g2):
+    prod, _ = add_vertex_corona(g1, g2)
+    got = product_spectrum(g1, g2).values
+    assert list(got) == sorted(got, reverse=True)
+    assert max_spectral_diff(got, _dense_spectrum(prod)) < 1e-8
 
 
 @settings(max_examples=40, deadline=None)
