@@ -7,6 +7,7 @@ operation is a pure function, so the API is safe to use concurrently.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -47,11 +48,10 @@ class Marking:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        vals = tuple(int(v) for v in self.values)
-        for v in vals:
+        for v in self.values:
             if v != 1 and v != -1:
                 raise ValueError(f"marking entries must be +1 or -1, got {v!r}")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
 
     @classmethod
     def all_positive(cls, n: int) -> "Marking":
@@ -69,13 +69,18 @@ class Marking:
 
 def _as_marks(m, n: int) -> tuple[int, ...]:
     """Accept a Marking or a plain ±1 sequence of length n."""
-    vals = tuple(m.values) if isinstance(m, Marking) else tuple(int(v) for v in m)
-    if len(vals) != n:
-        raise ValueError(f"marking has length {len(vals)}, expected {n}")
-    for v in vals:
-        if v != 1 and v != -1:
-            raise ValueError(f"marking entries must be +1 or -1, got {v!r}")
-    return vals
+    marks = m if isinstance(m, Marking) else Marking(tuple(m))
+    if len(marks) != n:
+        raise ValueError(f"marking has length {len(marks)}, expected {n}")
+    return marks.values
+
+
+def _as_int(value, what: str) -> int:
+    """An integer-typed value (numpy ints too); 0.7 or '1' raise ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 class SignedGraph:
@@ -91,12 +96,13 @@ class SignedGraph:
     __slots__ = ("_n", "_edges", "_adj")
 
     def __init__(self, n: int, edges=()):
+        n = _as_int(n, "vertex count")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         store: dict[tuple[int, int], int] = {}
         for item in edges:
             u, v, s = item
-            u, v = int(u), int(v)
+            u, v = _as_int(u, "edge endpoint"), _as_int(v, "edge endpoint")
             if not (0 <= u < n) or not (0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:

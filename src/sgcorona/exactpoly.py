@@ -1,11 +1,12 @@
 """Exact integer polynomial arithmetic, characteristic polynomials, coronals.
 
 Characteristic polynomials of integer symmetric matrices are computed by
-the Faddeev-LeVerrier recurrence, which yields the adjugate sequence for
-free; the coronal numerator mu^T adj(xI - M) mu falls out of the same
-pass.  All arithmetic is over Python's arbitrary-precision integers:
-coefficient growth at the scales handled here is modest but fixed-width
-overflow would be silent, so big integers are mandatory.
+the Faddeev-LeVerrier recurrence, the one exact kernel here.  The
+coronal numerator p = mu^T adj(xI - M) mu is a difference of two of
+them: by the matrix determinant lemma, det(xI - M - mu mu^T) = f - p
+with f = det(xI - M).  All arithmetic is over Python's arbitrary-precision
+integers: coefficient growth at the scales handled here is modest but
+fixed-width overflow would be silent, so big integers are mandatory.
 
 Also here: primitive-Euclidean polynomial gcd, Yun squarefree
 decomposition, Sturm-sequence real root isolation (the exact eigenvalue
@@ -326,10 +327,6 @@ def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
 # -- matrices (exact, list-of-rows) ----------------------------------------
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     cols = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
@@ -344,40 +341,26 @@ def _validate_square(matrix) -> list[list[int]]:
     return rows
 
 
-def _faddeev_leverrier(matrix, mu=None):
-    """Characteristic-polynomial coefficients, plus the coronal numerator.
+def char_poly(matrix) -> IntPolynomial:
+    """Monic characteristic polynomial det(xI - M), exact over the integers.
 
-    Runs the recurrence N_1 = I, c_{n-k} = -tr(A N_k)/k,
-    N_{k+1} = A N_k + c_{n-k} I.  Since adj(xI - A) = sum_k N_k x^{n-k},
-    supplying a marking vector mu also returns
-    p(x) = mu^T adj(xI - A) mu exactly (degree n-1).
+    Runs the Faddeev-LeVerrier recurrence P_1 = M, c_{n-k} = -tr(P_k)/k,
+    P_{k+1} = M (P_k + c_{n-k} I); every trace division is exact.
     """
     a = _validate_square(matrix)
     n = len(a)
     c = [0] * (n + 1)
     c[n] = 1
-    p = [0] * n if mu is not None else None
-    nk = _identity(n)
+    p = [row[:] for row in a]
     for k in range(1, n + 1):
-        if mu is not None:
-            p[n - k] = sum(
-                mu[i] * sum(nk[i][j] * mu[j] for j in range(n)) for i in range(n)
-            )
-        an = _matmul(a, nk)
-        tr = sum(an[i][i] for i in range(n))
+        tr = sum(p[i][i] for i in range(n))
         if tr % k:
             raise RuntimeError("Faddeev-LeVerrier trace division is inexact; this is a bug")
         c[n - k] = -(tr // k)
         if k < n:
             for i in range(n):
-                an[i][i] += c[n - k]
-            nk = an
-    return c, p
-
-
-def char_poly(matrix) -> IntPolynomial:
-    """Monic characteristic polynomial det(xI - M), exact over the integers."""
-    c, _ = _faddeev_leverrier(matrix)
+                p[i][i] += c[n - k]
+            p = _matmul(a, p)
     return IntPolynomial(c)
 
 
@@ -385,13 +368,16 @@ def coronal_pair(matrix, mu) -> tuple[IntPolynomial, IntPolynomial]:
     """Unreduced coronal numerator and characteristic polynomial of M.
 
     The numerator is p(x) = mu^T adj(xI - M) mu; the pair p/f is the
-    coronal before gcd reduction.
+    coronal before gcd reduction.  By the matrix determinant lemma,
+    det(xI - M - mu mu^T) = f(x) - p(x), so p = f - charpoly(M + mu mu^T).
     """
     marks = list(mu)
-    if len(marks) != len(list(matrix)):
+    a = _validate_square(matrix)
+    if len(marks) != len(a):
         raise ValueError("marking length must match matrix dimension")
-    c, p = _faddeev_leverrier(matrix, marks)
-    return IntPolynomial(p), IntPolynomial(c)
+    f = char_poly(a)
+    shifted = [[x + mi * mj for x, mj in zip(row, marks)] for row, mi in zip(a, marks)]
+    return f - char_poly(shifted), f
 
 
 @dataclass(frozen=True)
@@ -468,6 +454,14 @@ def _cleared_product_poly(
     return result
 
 
+def _adjacency_product_poly(
+    g_sq: IntPolynomial, p2: IntPolynomial, f2: IntPolynomial, n1: int
+) -> IntPolynomial:
+    """The cleared adjacency identity: sum_k g_k u^k f2^(n1-k), u = x^2 f2 - x p2."""
+    x = IntPolynomial.x()
+    return _cleared_product_poly(g_sq, x * x * f2 - x * p2, f2, n1)
+
+
 def product_char_poly_A(g1: SignedGraph, g2: SignedGraph) -> IntPolynomial:
     """Adjacency characteristic polynomial of the add-vertex corona.
 
@@ -477,12 +471,8 @@ def product_char_poly_A(g1: SignedGraph, g2: SignedGraph) -> IntPolynomial:
     g the characteristic polynomial of A(g1_mu)^2, the result is
     sum_k g_k u^k f2^(n1-k), monic of degree n1*(n2+2).
     """
-    mu2 = canonical_marking(g2)
-    p2, f2 = coronal_pair(g2.adjacency(), mu2)
-    g_sq = _mu_square_charpoly(g1)
-    x = IntPolynomial.x()
-    u = x * x * f2 - x * p2
-    return _cleared_product_poly(g_sq, u, f2, g1.n)
+    p2, f2 = coronal_pair(g2.adjacency(), canonical_marking(g2))
+    return _adjacency_product_poly(_mu_square_charpoly(g1), p2, f2, g1.n)
 
 
 def _product_char_poly_LQ(g1: SignedGraph, g2: SignedGraph, which: str) -> IntPolynomial:

@@ -22,7 +22,13 @@ from .core import (
     regularity,
     star_graph,
 )
-from .exactpoly import char_poly, graph_coronal, integer_roots, product_char_poly_A
+from .exactpoly import (
+    _adjacency_product_poly,
+    _mu_square_charpoly,
+    char_poly,
+    graph_coronal,
+    integer_roots,
+)
 from .products import add_vertex_corona
 
 __all__ = [
@@ -258,9 +264,10 @@ def equienergetic_product_pair(g: SignedGraph, h1: SignedGraph, h2: SignedGraph)
     The returned report certifies the products' energies agree within
     1e-6 and their characteristic polynomials differ exactly; those come
     from the factors, never from the dense products: the energies from
-    `product_spectrum`, the characteristic polynomials from the product
-    identity (`product_char_poly_A`: the factors' coronal pair and the
-    char poly of A(g_mu)^2).
+    `product_spectrum`, the characteristic polynomials from the adjacency
+    product identity, evaluated from the unreduced coronal pairs of h1
+    and h2 already computed for the preconditions and one char poly of
+    A(g_mu)^2.
     """
     violations = []
     if g.n == 0:
@@ -281,7 +288,9 @@ def equienergetic_product_pair(g: SignedGraph, h1: SignedGraph, h2: SignedGraph)
     p2, _ = add_vertex_corona(g, h2)
     pe1, pe2 = (float(sum(abs(v) for v in product_spectrum(g, h))) for h in (h1, h2))
     gap = abs(pe1 - pe2)
-    cospec = product_char_poly_A(g, h1) == product_char_poly_A(g, h2)
+    g_sq = _mu_square_charpoly(g)
+    cospec = (_adjacency_product_poly(g_sq, *c1.unreduced(), g.n)
+              == _adjacency_product_poly(g_sq, *c2.unreduced(), g.n))
     if gap > 1e-6 or cospec:
         raise RuntimeError(
             "constructed products violate the equienergetic guarantee; this is a bug"

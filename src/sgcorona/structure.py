@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .core import SignedGraph, canonical_marking, is_balanced
-from .products import duplication
 
 __all__ = [
     "EdgeStats",
@@ -64,12 +63,14 @@ def edge_stats_formula(g1: SignedGraph, g2: SignedGraph) -> EdgeStats:
     negative = |DE-| + n1*|E2-| + N1+*N2- + N1-*N2+
 
     N1± count marks over the a-block join endpoints (n1 vertices) and N2±
-    over the copy graph's vertices.
+    over the copy graph's vertices.  The duplication block is counted from
+    g1's edges: each edge uv gives two edges signed mu1(u)*mu1(v).
     """
     mu1 = canonical_marking(g1)
     mu2 = canonical_marking(g2)
-    dg = duplication(g1)
-    de_pos, de_neg = count_signs(dg)
+    de_total = 2 * g1.m
+    de_pos = 2 * sum(1 for u, v, _ in g1.edges() if mu1[u] == mu1[v])
+    de_neg = de_total - de_pos
     e2_pos, e2_neg = count_signs(g2)
     n1p = sum(1 for v in mu1 if v > 0)
     n1m = g1.n - n1p
@@ -77,12 +78,12 @@ def edge_stats_formula(g1: SignedGraph, g2: SignedGraph) -> EdgeStats:
     n2m = g2.n - n2p
     positive = de_pos + g1.n * e2_pos + n1p * n2p + n1m * n2m
     negative = de_neg + g1.n * e2_neg + n1p * n2m + n1m * n2p
-    total = dg.m + g1.n * g2.m + g1.n * g2.n
+    total = de_total + g1.n * g2.m + g1.n * g2.n
     return EdgeStats(
         total=total,
         positive=positive,
         negative=negative,
-        de_total=dg.m,
+        de_total=de_total,
         de_positive=de_pos,
         de_negative=de_neg,
         e2_total=g2.m,
@@ -123,45 +124,23 @@ def enumerate_triads(g: SignedGraph) -> TriadStats:
     return TriadStats(*t)
 
 
-def _edge_classes(g: SignedGraph) -> dict[tuple[int, str], int]:
-    """Edge counts keyed by (sign, endpoint-mark pair) under canonical marks."""
-    mu = canonical_marking(g)
-    out = {(1, "pp"): 0, (1, "pm"): 0, (1, "mm"): 0,
-           (-1, "pp"): 0, (-1, "pm"): 0, (-1, "mm"): 0}
-    for u, v, s in g.edges():
-        a, b = mu[u], mu[v]
-        if a > 0 and b > 0:
-            pair = "pp"
-        elif a < 0 and b < 0:
-            pair = "mm"
-        else:
-            pair = "pm"
-        out[(s, pair)] += 1
-    return out
-
-
 def triad_stats_formula(g1: SignedGraph, g2: SignedGraph) -> TriadStats:
     """Triad census of the add-vertex corona from closed forms.
 
-    Each anchor a_i contributes one triangle per edge of its copy, whose
-    negative count is set by the anchor's mark, the edge sign, and the
-    endpoint marks; copy-internal triangles replicate g2's census n1
-    times; the duplication block is bipartite between its blocks and so
-    adds no triangle.
+    Copy-internal triangles replicate g2's census n1 times.  Each anchor
+    a_i of mark m adds one triangle per edge uv of its copy, with
+    [m*mu2(u) < 0] + [m*mu2(v) < 0] + [sign(uv) < 0] negative edges; the
+    duplication block is bipartite between its blocks and so adds no
+    triangle.
     """
     mu1 = canonical_marking(g1)
-    ct = enumerate_triads(g2).counts
-    cls = _edge_classes(g2)
-    nup = sum(1 for v in mu1 if v > 0)
-    num = g1.n - nup
-    n1 = g1.n
-    pos_pp, pos_pm, pos_mm = cls[(1, "pp")], cls[(1, "pm")], cls[(1, "mm")]
-    neg_pp, neg_pm, neg_mm = cls[(-1, "pp")], cls[(-1, "pm")], cls[(-1, "mm")]
-    t0 = n1 * ct[0] + nup * pos_pp + num * pos_mm
-    t1 = n1 * ct[1] + nup * (pos_pm + neg_pp) + num * (pos_pm + neg_mm)
-    t2 = n1 * ct[2] + nup * (pos_mm + neg_pm) + num * (pos_pp + neg_pm)
-    t3 = n1 * ct[3] + nup * neg_mm + num * neg_pp
-    return TriadStats(t0, t1, t2, t3)
+    mu2 = canonical_marking(g2)
+    t = [g1.n * c for c in enumerate_triads(g2).counts]
+    n1p = sum(1 for v in mu1 if v > 0)
+    for m, count in ((1, n1p), (-1, g1.n - n1p)):
+        for u, v, s in g2.edges():
+            t[(m * mu2[u] < 0) + (m * mu2[v] < 0) + (s < 0)] += count
+    return TriadStats(*t)
 
 
 def unbalance_criteria(g2: SignedGraph) -> list[int]:

@@ -2,6 +2,7 @@ import random
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from sgcorona import (
@@ -39,6 +40,24 @@ def test_construction_rejects_bad_edges():
         SignedGraph(2, [(0, 1, 2)])  # bad sign
     with pytest.raises(ValueError):
         SignedGraph(-1)
+
+
+def test_non_integer_marks_and_endpoints_are_rejected():
+    # each value is checked before any int() conversion could truncate it
+    for bad in ((1.5, -1), ("1", -1)):
+        with pytest.raises(ValueError):
+            Marking(bad)
+    with pytest.raises(ValueError):
+        mu_signed_graph(path_graph(2), [-1.7, 1])
+    with pytest.raises(ValueError):
+        switch(path_graph(2), (1.5, 1))
+    with pytest.raises(ValueError):
+        SignedGraph(2, [(0.7, 1, 1)])
+    with pytest.raises(ValueError):
+        SignedGraph(2.5)
+    # integer values of other types are still accepted
+    assert Marking((np.int64(1), -1.0)).values == (1, -1)
+    assert SignedGraph(np.int64(2), [(np.int64(0), np.int64(1), 1)]) == path_graph(2)
 
 
 def test_adjacency_round_trip():

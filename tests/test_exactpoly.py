@@ -163,8 +163,8 @@ def test_char_poly_against_determinant_oracle():
 
 
 @st.composite
-def symmetric_int_matrices(draw, max_n=6, max_entry=4):
-    n = draw(st.integers(1, max_n))
+def symmetric_int_matrices(draw, min_n=1, max_n=6, max_entry=4):
+    n = draw(st.integers(min_n, max_n))
     upper = draw(st.lists(st.integers(-max_entry, max_entry),
                           min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
     m = [[0] * n for _ in range(n)]
@@ -228,6 +228,25 @@ def test_coronal_reconstruction():
         assert c.numerator.degree < c.denominator.degree
         assert c.denominator.is_monic
         assert poly_gcd(c.numerator, c.denominator) == poly(1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_int_matrices(min_n=0), st.integers(-6, 6), st.data())
+def test_property_coronal_numerator_by_cramer(m, k, data):
+    # mu^T adj(kI - M) mu = sum_i mu_i det(kI - M with column i replaced by
+    # mu), by Cramer's rule; independent of the determinant lemma.
+    n = len(m)
+    mu = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    shifted = [[k * (i == j) - m[i][j] for j in range(n)] for i in range(n)]
+    want = sum(
+        mu[i] * bareiss_det([row[:i] + [mu[r]] + row[i + 1:] for r, row in enumerate(shifted)])
+        for i in range(n)
+    )
+    assert coronal_pair(m, mu)[0](k) == want
+
+
+def test_coronal_pair_of_empty_matrix():
+    assert coronal_pair([], ()) == (poly(), poly(1))
 
 
 def test_coronal_dimension_mismatch():
