@@ -11,16 +11,18 @@ fixed-width overflow would be silent, so big integers are mandatory.
 Also here: primitive-Euclidean polynomial gcd, Yun squarefree
 decomposition, Sturm-sequence real root isolation (the exact eigenvalue
 oracle), and the product characteristic-polynomial identities for the
-duplication add-vertex corona, evaluated in denominator-cleared form.
+duplication add-vertex corona, in denominator-cleared form by Horner's
+rule, the first factor entering only through its underlying graph.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .core import SignedGraph, canonical_marking, mu_signed_graph, regularity
+from .core import SignedGraph, canonical_marking, regularity
 
 __all__ = [
     "IntPolynomial",
@@ -55,10 +57,6 @@ class IntPolynomial:
         self._c = tuple(c)
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls(())
 
     @classmethod
     def one(cls) -> "IntPolynomial":
@@ -333,11 +331,12 @@ def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 def _validate_square(matrix) -> list[list[int]]:
-    rows = [list(map(int, row)) for row in matrix]
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
+    try:  # operator.index takes numpy ints; 0.5 or '1' raise
+        rows = [list(map(operator.index, row)) for row in matrix]
+    except TypeError:
+        raise ValueError("matrix entries must be integers") from None
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix must be square")
     return rows
 
 
@@ -431,26 +430,29 @@ def shifted_coronal(c: Coronal) -> Coronal:
 
 
 def _mu_square_charpoly(g1: SignedGraph) -> IntPolynomial:
-    """Characteristic polynomial of A(g1_mu)^2, the squared re-signed adjacency."""
-    a = mu_signed_graph(g1, canonical_marking(g1)).adjacency()
-    return char_poly(_matmul(a, a))
+    """Char poly g of A(g1_mu)^2, from h = charpoly(|A(g1)|).
+
+    g1_mu is balanced, so A(g1_mu) = D |A(g1)| D with D = diag(mu), and
+    g(x^2) = (-1)^n1 h(x) h(-x).
+    """
+    h = char_poly([[abs(v) for v in row] for row in g1.adjacency()])
+    h_neg = IntPolynomial(c if k % 2 == 0 else -c for k, c in enumerate(h.coefficients))
+    return IntPolynomial((h * h_neg).coefficients[::2]) * (-1) ** g1.n
 
 
 def _cleared_product_poly(
     g_sq: IntPolynomial, u: IntPolynomial, f: IntPolynomial, n1: int
 ) -> IntPolynomial:
-    """sum_k g_k * u^k * f^(n1-k): the denominator-cleared spectral product."""
-    result = IntPolynomial()
-    u_pow = IntPolynomial.one()
-    f_pows = [IntPolynomial.one()]
-    for _ in range(n1):
-        f_pows.append(f_pows[-1] * f)
-    for k in range(n1 + 1):
-        gk = g_sq.coeff(k)
-        if gk != 0:
-            result = result + u_pow * f_pows[n1 - k] * gk
-        if k < n1:
-            u_pow = u_pow * u
+    """sum_k g_k * u^k * f^(n1-k): the denominator-cleared spectral product.
+
+    Homogeneous Horner, R <- R u + g_k f^(n1-k) from k = n1 down: every
+    product has a factor of degree at most deg u.
+    """
+    result = IntPolynomial((g_sq.coeff(n1),))
+    f_pow = IntPolynomial.one()
+    for k in range(n1 - 1, -1, -1):
+        f_pow = f_pow * f
+        result = result * u + f_pow * g_sq.coeff(k)
     return result
 
 
@@ -469,29 +471,25 @@ def product_char_poly_A(g1: SignedGraph, g2: SignedGraph) -> IntPolynomial:
     clearing the coronal denominator from the product formula: with f2
     and p2 the unreduced coronal pair of A(g2), u = x^2*f2 - x*p2, and
     g the characteristic polynomial of A(g1_mu)^2, the result is
-    sum_k g_k u^k f2^(n1-k), monic of degree n1*(n2+2).
+    sum_k g_k u^k f2^(n1-k), monic of degree n1*(n2+2), by Horner's rule.
     """
     p2, f2 = coronal_pair(g2.adjacency(), canonical_marking(g2))
     return _adjacency_product_poly(_mu_square_charpoly(g1), p2, f2, g1.n)
 
 
 def _product_char_poly_LQ(g1: SignedGraph, g2: SignedGraph, which: str) -> IntPolynomial:
-    rep = regularity(g1)
-    r1 = rep.degree_regular
+    r1 = regularity(g1).degree_regular
     if r1 is None:
         raise ValueError(
             "first factor must be degree-regular for the Laplacian-type "
             "product polynomial"
         )
-    mu2 = canonical_marking(g2)
-    p2, f2 = coronal_pair(g2.matrix(which), mu2)
+    p2, f2 = coronal_pair(g2.matrix(which), canonical_marking(g2))
     fs = f2.taylor_shift(-1)
     ps = p2.taylor_shift(-1)
-    g_sq = _mu_square_charpoly(g1)
     x = IntPolynomial.x()
-    n2 = g2.n
-    u = ((x - (r1 + n2)) * fs - ps) * (x - r1)
-    return _cleared_product_poly(g_sq, u, fs, g1.n)
+    u = ((x - (r1 + g2.n)) * fs - ps) * (x - r1)
+    return _cleared_product_poly(_mu_square_charpoly(g1), u, fs, g1.n)
 
 
 def product_char_poly_L(g1: SignedGraph, g2: SignedGraph) -> IntPolynomial:

@@ -18,7 +18,6 @@ from .core import (
     SignedGraph,
     canonical_marking,
     is_balanced,
-    mu_signed_graph,
     regularity,
     star_graph,
 )
@@ -177,11 +176,12 @@ def product_spectrum(g1: SignedGraph, g2: SignedGraph) -> Spectrum:
     B = [[0, 0, 0], [0, 0, mu2^T], [0, mu2, A(g2)]].  Diagonalising
     A(g1_mu) leaves one block M_t = t E + B of order n2 + 2 per
     eigenvalue t, so the spectrum is the union of spec(M_t): one
-    eigensolve of order n1 and one batched eigensolve of the blocks.
+    eigensolve of order n1 (of |A(g1)|: A(g1_mu) = D |A(g1)| D with
+    D = diag(mu1), as g1_mu is balanced) and one batched one of the blocks.
     Exact for every pair of factors, including empty ones.
     """
     n2 = g2.n
-    t = eig_sym(mu_signed_graph(g1, canonical_marking(g1)).adjacency()).values
+    t = eig_sym([[abs(v) for v in row] for row in g1.adjacency()]).values
     b = np.zeros((n2 + 2, n2 + 2))
     b[1, 2:] = b[2:, 1] = canonical_marking(g2).values
     b[2:, 2:] = g2.adjacency()

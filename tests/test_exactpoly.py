@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +37,7 @@ from sgcorona import (
     star_graph,
     switch,
 )
-from sgcorona.exactpoly import _cleared_product_poly, _matmul, pseudo_rem
+from sgcorona.exactpoly import _cleared_product_poly, _matmul, _mu_square_charpoly, pseudo_rem
 from helpers import (
     all_signings,
     bareiss_det,
@@ -181,6 +182,20 @@ def test_property_char_poly_matches_bareiss(m, k):
     n = len(m)
     shifted = [[k * (i == j) - m[i][j] for j in range(n)] for i in range(n)]
     assert char_poly(m)(k) == bareiss_det(shifted)
+
+
+def test_char_poly_rejects_non_integer_entries():
+    # a truncating read would take 1.7 as 1 and 0.5 as 0
+    for bad in ([[1.7]], [["1"]], [[0, 0.5], [0.5, 0]]):
+        with pytest.raises(ValueError, match="integers"):
+            char_poly(bad)
+    with pytest.raises(ValueError, match="integers"):
+        coronal_pair([[0.5, 0], [0, 0]], (1, 1))
+    with pytest.raises(ValueError, match="integers"):
+        coronal_pair([[0, 1], [1, 0]], (1, 0.5))
+    # integer types other than int still work, numpy's included
+    assert char_poly(np.array([[0, 2], [2, 0]], dtype=np.int32)) == poly(-4, 0, 1)
+    assert char_poly([[np.int64(3)]]) == poly(-3, 1)
 
 
 def test_char_poly_switching_invariant():
@@ -362,6 +377,34 @@ def test_balanced_first_factor_cospectral_substitution():
         u = X * X * f2 - X * p2
         rebuilt = _cleared_product_poly(g_from_plain, u, f2, g1.n)
         assert rebuilt == product_char_poly_A(g1, g2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n1: st.tuples(st.just(n1), st.lists(st.integers(-9, 9), max_size=n1 + 1))
+    ),
+    st.lists(st.integers(-5, 5), max_size=5),
+    st.lists(st.integers(-5, 5), max_size=5),
+)
+def test_property_cleared_product_matches_naive_sum(n1_g, u, f):
+    # Horner assembly against sum_k g_k u^k f^(n1-k), term by term
+    n1, g = n1_g
+    g, u, f = IntPolynomial(g), IntPolynomial(u), IntPolynomial(f)
+    naive = sum((g.coeff(k) * u ** k * f ** (n1 - k) for k in range(n1 + 1)), IntPolynomial())
+    assert _cleared_product_poly(g, u, f, n1) == naive
+
+
+def test_mu_square_charpoly_from_underlying_graph():
+    # (-1)^n h(x) h(-x) with h = charpoly(|A(g)|) against the squared
+    # re-signed adjacency it replaces, at odd and even orders
+    assert _mu_square_charpoly(empty_graph(0)) == poly(1)
+    rng = random.Random(40)
+    for n in range(8):
+        for _ in range(6):
+            g = random_signed_graph(rng, n, rng.random())
+            a_mu = mu_signed_graph(g, canonical_marking(g)).adjacency()
+            assert _mu_square_charpoly(g) == char_poly(_matmul(a_mu, a_mu))
 
 
 def test_product_A_monic_of_right_degree():
