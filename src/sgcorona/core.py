@@ -187,15 +187,15 @@ class SignedGraph:
         return a
 
     def laplacian(self) -> list[list[int]]:
-        mat = [[-x for x in row] for row in self.adjacency()]
-        for v in range(self._n):
-            mat[v][v] = self.degree(v)
-        return mat
+        return self._plus_degrees([[-x for x in row] for row in self.adjacency()])
 
     def signless_laplacian(self) -> list[list[int]]:
-        mat = self.adjacency()
-        for v in range(self._n):
-            mat[v][v] = self.degree(v)
+        return self._plus_degrees(self.adjacency())
+
+    def _plus_degrees(self, mat: list[list[int]]) -> list[list[int]]:
+        for u, v in self._edges:  # degrees in one pass, no neighbour index
+            mat[u][u] += 1
+            mat[v][v] += 1
         return mat
 
     def matrix(self, which: str) -> list[list[int]]:

@@ -9,10 +9,10 @@ integers: coefficient growth at the scales handled here is modest but
 fixed-width overflow would be silent, so big integers are mandatory.
 
 Also here: primitive-Euclidean polynomial gcd, Yun squarefree
-decomposition, Sturm-sequence real root isolation (the exact eigenvalue
-oracle), and the product characteristic-polynomial identities for the
-duplication add-vertex corona, in denominator-cleared form by Horner's
-rule, the first factor entering only through its underlying graph.
+decomposition, real roots (the exact eigenvalue oracle: Sturm isolation
+on Fractions, integer dyadic bisection), and the product char-poly
+identities for the duplication add-vertex corona, denominator-cleared by
+Horner's rule, the first factor entering only through its graph.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .core import SignedGraph, canonical_marking, regularity
+from .core import SignedGraph, _as_int, canonical_marking, regularity
 
 __all__ = [
     "IntPolynomial",
@@ -51,7 +51,7 @@ class IntPolynomial:
     __slots__ = ("_c",)
 
     def __init__(self, coefficients=()):
-        c = [int(x) for x in coefficients]
+        c = [_as_int(x, "polynomial coefficient") for x in coefficients]
         while c and c[-1] == 0:
             c.pop()
         self._c = tuple(c)
@@ -595,38 +595,47 @@ def _isolate_squarefree(q: IntPolynomial, bound: int) -> list[tuple[Fraction, Fr
     return out
 
 
+def _scaled_value(q: IntPolynomial, m: int, k: int) -> int:
+    """2^(kd) q(m/2^k), which has the sign of q(m/2^k); d is the degree of q."""
+    acc = 0
+    for j, ci in enumerate(reversed(q.coefficients)):  # homogeneous Horner
+        acc = acc * m + (ci << (j * k))
+    return acc
+
+
 def _refine_root(q: IntPolynomial, a: Fraction, b: Fraction, width: Fraction) -> Fraction:
     """Bisect (a, b], holding one simple root of q, down to the width.
 
-    The bracket keeps q's sign at b, which q has everywhere between the
-    root and b; a root at b or at a midpoint is returned exactly.
+    a and b are dyadic, so the bracket is (lo, lo + span] over 2^k in
+    integers; halving it doubles lo and k and leaves span fixed.  It keeps
+    q's sign at its right end; a root at b or a midpoint returns exactly.
     """
-    fb = q(b)
+    k = max(a.denominator, b.denominator).bit_length() - 1
+    lo, span = int(a * 2 ** k), int((b - a) * 2 ** k)
+    fb = _scaled_value(q, lo + span, k)
     if fb == 0:
         return b
-    sb = fb > 0
-    while b - a > width:
-        mid = (a + b) / 2
-        fm = q(mid)
+    while span * width.denominator > width.numerator << k:
+        lo, k = lo << 1, k + 1
+        fm = _scaled_value(q, lo + span, k)  # the old bracket's midpoint
         if fm == 0:
-            return mid
-        if (fm > 0) == sb:
-            b = mid
-        else:
-            a = mid
-    return (a + b) / 2
+            return Fraction(lo + span, 1 << k)
+        if (fm > 0) != (fb > 0):
+            lo += span
+    return Fraction(2 * lo + span, 1 << (k + 1))
 
 
 def real_roots(p: IntPolynomial, bound: int | None = None, tol: float = 1e-11) -> list[float]:
     """All real roots of p with multiplicity, ascending, to within tol.
 
-    Roots are isolated exactly (Yun squarefree split, then Sturm-sequence
-    bisection with integer arithmetic) and only the final refinement is
-    rounded to float.  `bound` may supply a known bound on |root| to keep
-    the search window small; otherwise the Fujiwara bound is used.  tol
-    must be finite and at least about 5e-16 (rationals with denominator
+    Roots are isolated exactly (Yun squarefree split, Sturm bisection on
+    Fractions), refined to tol by integer dyadic bisection, and only then
+    rounded to float.  `bound` may give a finite nonnegative bound on |root|
+    to keep the search window small; otherwise the Fujiwara bound is used.
+    tol must be finite and at least about 5e-16 (rationals with denominator
     up to 10^15 carry the bracket width); anything else raises ValueError.
     """
+    cap = _bound_limit(bound)
     if p.is_zero:
         raise ValueError("zero polynomial has every number as a root")
     width = Fraction(tol).limit_denominator(10 ** 15) if 0 < tol < float("inf") else 0
@@ -634,14 +643,18 @@ def real_roots(p: IntPolynomial, bound: int | None = None, tol: float = 1e-11) -
         raise ValueError(f"tol must be finite and at least about 5e-16, got {tol!r}")
     roots: list[float] = []
     for factor, mult in squarefree_decomposition(p):
-        b = _fujiwara_bound(factor) + 1
-        if bound is not None:
-            b = min(b, int(bound) + 1)
-        for a, c in _isolate_squarefree(factor, b):
+        for a, c in _isolate_squarefree(factor, min(_fujiwara_bound(factor) + 1, cap)):
             r = float(_refine_root(factor, a, c, width))
             roots.extend([r] * mult)
     roots.sort()
     return roots
+
+
+def _bound_limit(bound) -> int | float:
+    """int(bound) + 1, or inf for None; a negative or non-finite bound raises."""
+    if bound is not None and not 0 <= bound < float("inf"):
+        raise ValueError(f"bound must be finite and nonnegative, got {bound!r}")
+    return float("inf") if bound is None else int(bound) + 1
 
 
 def _ceil_root(c: int, k: int) -> int:
@@ -681,10 +694,11 @@ def integer_roots(p: IntPolynomial, bound: int | None = None):
     """Integer roots with multiplicity, plus the integer-root-free quotient.
 
     Candidates are divisors of the constant term (after stripping powers
-    of x) up to the integer Fujiwara bound, or `bound` if smaller; each
-    is removed by exact synthetic division, so the decision is exact.
+    of x) up to the integer Fujiwara bound, or `bound` if smaller (finite
+    and nonnegative); each is removed by exact synthetic division.
     Returns ({root: multiplicity}, remainder polynomial).
     """
+    cap = _bound_limit(bound)
     if p.is_zero:
         raise ValueError("zero polynomial has every integer as a root")
     roots: dict[int, int] = {}
@@ -692,10 +706,7 @@ def integer_roots(p: IntPolynomial, bound: int | None = None):
     while q.coeff(0) == 0 and q.degree > 0:
         roots[0] = roots.get(0, 0) + 1
         q = q.exact_div(IntPolynomial.x())
-    limit = _fujiwara_bound(q)
-    if bound is not None:
-        limit = min(limit, int(bound) + 1)
-    for t in range(1, limit + 1):
+    for t in range(1, min(_fujiwara_bound(q), cap) + 1):
         for r in (t, -t):
             if q.degree < 1:
                 break

@@ -53,6 +53,28 @@ def known_admissible_pair() -> tuple[SignedGraph, SignedGraph]:
     return SignedGraph(6, k33_edges), SignedGraph(6, k6)
 
 
+def fraction_refine_root(q, a: Fraction, b: Fraction, width: Fraction) -> Fraction:
+    """Reference bisection of (a, b], holding one simple root of q, on Fractions.
+
+    The bracket keeps q's sign at b; a root at b or at a midpoint is
+    returned exactly, and otherwise the final midpoint.
+    """
+    fb = q(b)
+    if fb == 0:
+        return b
+    sb = fb > 0
+    while b - a > width:
+        mid = (a + b) / 2
+        fm = q(mid)
+        if fm == 0:
+            return mid
+        if (fm > 0) == sb:
+            b = mid
+        else:
+            a = mid
+    return (a + b) / 2
+
+
 def bareiss_det(matrix) -> int:
     """Exact determinant of an integer matrix (fraction-free elimination).
 

@@ -37,10 +37,19 @@ from sgcorona import (
     star_graph,
     switch,
 )
-from sgcorona.exactpoly import _cleared_product_poly, _matmul, _mu_square_charpoly, pseudo_rem
+from sgcorona.exactpoly import (
+    _cleared_product_poly,
+    _fujiwara_bound,
+    _isolate_squarefree,
+    _matmul,
+    _mu_square_charpoly,
+    _refine_root,
+    pseudo_rem,
+)
 from helpers import (
     all_signings,
     bareiss_det,
+    fraction_refine_root,
     random_balanced_graph,
     random_marking,
     random_signed_graph,
@@ -63,6 +72,15 @@ def test_polynomial_normalization():
     assert poly().degree == -1
     assert poly(5).degree == 0
     assert poly(0, 0, 3).leading == 3
+
+
+def test_polynomial_rejects_non_integer_coefficients():
+    # int() used to truncate: IntPolynomial((0.5, 1.9)) was x
+    for bad in ((0.5, 1.9), (1, 2.0), ("1",), (Fraction(1, 2),)):
+        with pytest.raises(ValueError, match="integer"):
+            IntPolynomial(bad)
+    assert IntPolynomial(np.array([1, -2, 0], dtype=np.int64)) == poly(1, -2)
+    assert IntPolynomial((np.int32(3), True)) == poly(3, 1)
 
 
 def test_polynomial_arithmetic():
@@ -465,6 +483,56 @@ def test_real_roots_rejects_unusable_tol():
             real_roots(poly(-2, 0, 1), tol=tol)
     assert time.perf_counter() - start < 1.0
     assert real_roots(poly(-2, 0, 1), tol=1e-15) == pytest.approx([-math.sqrt(2), math.sqrt(2)])
+
+
+def test_root_finders_reject_negative_or_infinite_bound():
+    # bound=-5 used to bisect forever, bound=-1 to find no roots at all,
+    # and an infinite bound to raise OverflowError
+    start = time.perf_counter()
+    for bad in (-1, -5, -0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="bound"):
+            real_roots(poly(-2, 0, 1), bound=bad)
+        with pytest.raises(ValueError, match="bound"):
+            integer_roots(poly(-4, 0, 1), bound=bad)
+    assert time.perf_counter() - start < 1.0
+    assert real_roots(poly(0, 0, 1), bound=0) == [0.0, 0.0]
+    assert integer_roots(poly(-4, 0, 1), bound=2)[0] == {2: 1, -2: 1}
+
+
+# 2^-20 is dyadic, so a bracket width can equal it exactly
+WIDTHS = [Fraction(t).limit_denominator(10 ** 15) for t in (1e-3, 1e-11, 1e-15, 2 ** -20)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=2, max_size=9).filter(lambda c: c[-1] != 0))
+def test_property_refine_root_matches_fraction_bisection(coefficients):
+    # integer dyadic bisection returns exactly the Fraction the
+    # Fraction-arithmetic bisection returns, on every isolated interval
+    for q, _ in squarefree_decomposition(IntPolynomial(coefficients)):
+        for a, b in _isolate_squarefree(q, _fujiwara_bound(q) + 1):
+            for width in WIDTHS:
+                assert _refine_root(q, a, b, width) == fraction_refine_root(q, a, b, width)
+
+
+def test_refine_root_pinned_cases():
+    width = WIDTHS[1]
+    q = poly(-1, 1)  # root 1 at b: returned as b itself
+    assert _refine_root(q, Fraction(0), Fraction(1), width) == 1
+    q = poly(-3, 8)  # root 3/8 at the third midpoint of (0, 1]
+    assert _refine_root(q, Fraction(0), Fraction(1), width) == Fraction(3, 8)
+    # endpoints over different denominators: -bound and a dyadic; and
+    # (0, 1], whose bracket widths meet the dyadic width exactly
+    for q, a, b in ((poly(-1, 3), Fraction(0), Fraction(1)),
+                    (poly(3, 2), Fraction(-4), Fraction(-5, 4)),
+                    (poly(-2, 0, 1), Fraction(-3), Fraction(-7, 8)),
+                    (poly(-2, 0, 1), Fraction(5, 4), Fraction(3))):
+        for w in WIDTHS:
+            r = _refine_root(q, a, b, w)
+            assert r == fraction_refine_root(q, a, b, w)
+            assert a < r <= b and r.denominator & (r.denominator - 1) == 0
+    assert abs(_refine_root(poly(3, 2), Fraction(-4), Fraction(-5, 4), width) + 1.5) <= width
+    assert abs(_refine_root(poly(-2, 0, 1), Fraction(-3), Fraction(-7, 8), width)
+               + math.sqrt(2)) < 1e-11
 
 
 def test_integer_roots():

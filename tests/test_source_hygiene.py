@@ -1,8 +1,9 @@
 """Source hygiene of the package, checked with the standard-library ast.
 
 Every name a module imports must be used (a package __init__ imports to
-re-export, so it is exempt), and every __all__ entry must be defined at
-module level.  No linter is needed to run this.
+re-export, so it is exempt), every __all__ entry must be defined at
+module level, and no module may check anything with an `assert`
+statement, which `python -O` strips.  No linter is needed to run this.
 """
 
 import ast
@@ -64,6 +65,11 @@ def _defined(tree):
     return names
 
 
+def _asserts(tree):
+    """Line numbers of the module's assert statements."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
@@ -79,8 +85,15 @@ def test_all_entries_defined(path):
     assert not missing, f"{path.name} lists undefined names in __all__: {sorted(missing)}"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    lines = _asserts(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
 def test_checks_catch_defects():
-    source = "from x import a, b\n__all__ = ['c', 'd']\ndef d() -> 'b': pass\n"
+    source = "from x import a, b\n__all__ = ['c', 'd']\ndef d() -> 'b': pass\nassert d\n"
     tree = ast.parse(source)
     assert _imported(tree) - _used(tree) - set(_all_entries(tree)) == {"a"}
     assert set(_all_entries(tree)) - _defined(tree) == {"c"}
+    assert _asserts(tree) == [4]
