@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 __all__ = [
+    "MAX_VERTICES",
     "Marking",
     "SignedGraph",
     "BalanceResult",
@@ -83,22 +84,30 @@ def _as_int(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+# Largest vertex count a SignedGraph accepts: a dense n x n matrix holds
+# 16.8 million entries at this size.
+MAX_VERTICES = 4096
+
+
+def _vertex_count(value, what: str = "vertex count") -> int:
+    """An integer in 0..MAX_VERTICES; anything else raises ValueError."""
+    n = _as_int(value, what)
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"{what} must be in 0..{MAX_VERTICES}, got {n}")
+    return n
+
+
 class SignedGraph:
     """Immutable simple undirected graph with edge signs in {+1, -1}.
 
-    Vertices are the integers 0..n-1.  Loops and parallel edges are
-    rejected at construction.  The neighbour index behind `neighbors`
-    and the degree queries is built on first use; it is derived from the
-    edges alone, so it changes neither equality, hashing nor thread
-    safety.
+    Vertices are the integers 0..n-1, at most MAX_VERTICES of them.
+    Loops and parallel edges are rejected at construction.
     """
 
-    __slots__ = ("_n", "_edges", "_adj")
+    __slots__ = ("_n", "_edges")
 
     def __init__(self, n: int, edges=()):
-        n = _as_int(n, "vertex count")
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        n = _vertex_count(n)
         store: dict[tuple[int, int], int] = {}
         for item in edges:
             u, v, s = item
@@ -113,23 +122,6 @@ class SignedGraph:
             store[key] = _check_sign(s)
         self._n = n
         self._edges = store
-        self._adj = None
-
-    def _index(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-vertex sorted (neighbor, sign) pairs, built on first use.
-
-        The index is a pure function of the edge dict, so two threads
-        that race here build equal tuples and either write is correct.
-        """
-        adj = self._adj
-        if adj is None:
-            lists: list[list[tuple[int, int]]] = [[] for _ in range(self._n)]
-            for (u, v), s in self._edges.items():
-                lists[u].append((v, s))
-                lists[v].append((u, s))
-            adj = tuple(tuple(sorted(a)) for a in lists)
-            self._adj = adj
-        return adj
 
     # -- basic queries ------------------------------------------------
 
@@ -158,24 +150,28 @@ class SignedGraph:
 
     def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
         """Sorted (neighbor, sign) pairs incident to v."""
-        return self._index()[v]
+        return tuple(_neighbor_lists(self)[v])
 
     # -- degrees ------------------------------------------------------
 
     def degree(self, v: int) -> int:
-        return len(self._index()[v])
+        return len(self.neighbors(v))
 
     def pos_degree(self, v: int) -> int:
-        return sum(1 for _, s in self._index()[v] if s > 0)
+        return sum(1 for _, s in self.neighbors(v) if s > 0)
 
     def neg_degree(self, v: int) -> int:
-        return sum(1 for _, s in self._index()[v] if s < 0)
+        return sum(1 for _, s in self.neighbors(v) if s < 0)
 
     def signed_degree(self, v: int) -> int:
-        return sum(s for _, s in self._index()[v])
+        return sum(s for _, s in self.neighbors(v))
 
     def degrees(self) -> list[int]:
-        return [len(a) for a in self._index()]
+        degs = [0] * self._n
+        for u, v in self._edges:
+            degs[u] += 1
+            degs[v] += 1
+        return degs
 
     # -- matrices (exact integer, list-of-rows) -----------------------
 
@@ -193,9 +189,8 @@ class SignedGraph:
         return self._plus_degrees(self.adjacency())
 
     def _plus_degrees(self, mat: list[list[int]]) -> list[list[int]]:
-        for u, v in self._edges:  # degrees in one pass, no neighbour index
-            mat[u][u] += 1
-            mat[v][v] += 1
+        for v, d in enumerate(self.degrees()):
+            mat[v][v] += d
         return mat
 
     def matrix(self, which: str) -> list[list[int]]:
@@ -239,6 +234,16 @@ class SignedGraph:
         return f"SignedGraph(n={self._n}, m={self.m})"
 
 
+def _neighbor_lists(g: SignedGraph) -> list[list[tuple[int, int]]]:
+    """Per-vertex (neighbor, sign) lists from the sorted edges; each list is
+    sorted, as a vertex meets its lower neighbours before its higher ones."""
+    lists: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for u, v, s in g.edges():
+        lists[u].append((v, s))
+        lists[v].append((u, s))
+    return lists
+
+
 # -- markings and balance ---------------------------------------------
 
 
@@ -247,12 +252,10 @@ def canonical_marking(g: SignedGraph) -> Marking:
 
     An isolated vertex gets +1 (empty product).
     """
-    marks = []
-    for v in range(g.n):
-        p = 1
-        for _, s in g.neighbors(v):
-            p *= s
-        marks.append(p)
+    marks = [1] * g.n
+    for u, v, s in g.edges():
+        marks[u] *= s
+        marks[v] *= s
     return Marking(tuple(marks))
 
 
@@ -282,6 +285,7 @@ def balance(g: SignedGraph) -> BalanceResult:
     is the first non-tree edge whose sign contradicts the propagated
     marks, i.e. an edge closing a negative cycle.
     """
+    adj = _neighbor_lists(g)
     marks = [0] * g.n
     for root in range(g.n):
         if marks[root] != 0:
@@ -290,7 +294,7 @@ def balance(g: SignedGraph) -> BalanceResult:
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for v, s in g.neighbors(u):
+            for v, s in adj[u]:
                 want = s * marks[u]
                 if marks[v] == 0:
                     marks[v] = want
@@ -326,8 +330,9 @@ class RegularityReport:
 def regularity(g: SignedGraph) -> RegularityReport:
     if g.n == 0:
         return RegularityReport(None, None, None)
-    degs = g.degrees()
-    sdegs = [g.signed_degree(v) for v in range(g.n)]
+    adj = _neighbor_lists(g)
+    degs = [len(a) for a in adj]
+    sdegs = [sum(s for _, s in a) for a in adj]
     r = degs[0] if all(d == degs[0] for d in degs) else None
     k = sdegs[0] if all(s == sdegs[0] for s in sdegs) else None
     pair = (r, k) if r is not None and k is not None else None
@@ -360,6 +365,7 @@ def induced_subgraph(g: SignedGraph, vertices) -> SignedGraph:
 
 def connected_components(g: SignedGraph) -> list[list[int]]:
     """Vertex sets of the connected components, each sorted, in BFS order."""
+    adj = _neighbor_lists(g)
     seen = [False] * g.n
     comps = []
     for root in range(g.n):
@@ -370,7 +376,7 @@ def connected_components(g: SignedGraph) -> list[list[int]]:
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for v, _ in g.neighbors(u):
+            for v, _ in adj[u]:
                 if not seen[v]:
                     seen[v] = True
                     comp.append(v)
@@ -399,12 +405,14 @@ def empty_graph(n: int) -> SignedGraph:
 
 def path_graph(n: int, signs=None) -> SignedGraph:
     """Path on n vertices 0-1-2-...; signs follow edge order."""
+    n = _vertex_count(n)
     ss = _sign_list(signs, max(n - 1, 0))
     return SignedGraph(n, ((i, i + 1, ss[i]) for i in range(n - 1)))
 
 
 def cycle_graph(n: int, signs=None) -> SignedGraph:
     """Cycle 0-1-...-(n-1)-0; needs n >= 3."""
+    n = _vertex_count(n)
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
     ss = _sign_list(signs, n)
@@ -413,6 +421,7 @@ def cycle_graph(n: int, signs=None) -> SignedGraph:
 
 def complete_graph(n: int, signs=None) -> SignedGraph:
     """Complete graph; signs follow lexicographic edge order."""
+    n = _vertex_count(n)
     pairs = list(combinations(range(n), 2))
     ss = _sign_list(signs, len(pairs))
     return SignedGraph(n, ((u, v, s) for (u, v), s in zip(pairs, ss)))
@@ -420,6 +429,7 @@ def complete_graph(n: int, signs=None) -> SignedGraph:
 
 def star_graph(leaves: int, signs=None) -> SignedGraph:
     """Star with center 0 and the given number of leaves."""
+    leaves = _vertex_count(leaves, "leaf count")
     ss = _sign_list(signs, leaves)
     return SignedGraph(leaves + 1, ((0, i + 1, ss[i]) for i in range(leaves)))
 

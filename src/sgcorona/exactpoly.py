@@ -10,9 +10,10 @@ fixed-width overflow would be silent, so big integers are mandatory.
 
 Also here: primitive-Euclidean polynomial gcd, Yun squarefree
 decomposition, real roots (the exact eigenvalue oracle: Sturm isolation
-on Fractions, integer dyadic bisection), and the product char-poly
-identities for the duplication add-vertex corona, denominator-cleared by
-Horner's rule, the first factor entering only through its graph.
+on Fractions, integer dyadic bisection), and the one product char-poly
+identity behind the A, L and Q matrices of the duplication add-vertex
+corona, denominator-cleared by Horner's rule, the first factor entering
+only through its graph.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "char_poly",
     "coronal_pair",
     "coronal",
+    "graph_coronal",
     "shifted_coronal",
     "product_char_poly_A",
     "product_char_poly_L",
@@ -381,35 +383,27 @@ def coronal_pair(matrix, mu) -> tuple[IntPolynomial, IntPolynomial]:
 
 @dataclass(frozen=True)
 class Coronal:
-    """Reduced rational function numerator/denominator plus the removed gcd.
+    """Reduced coronal: the unreduced pair p/f divided by its primitive gcd.
 
-    The reduction divides the raw pair by its primitive polynomial gcd
-    only, so the rational function's value is untouched (the numerator
-    may keep an integer content, e.g. 2/(x-1)).  The denominator is monic
-    whenever the source polynomial is, and numerator*removed and
-    denominator*removed reconstruct the unreduced pair exactly.
+    Only the primitive gcd is divided out, so the rational function's
+    value is untouched and the numerator may keep an integer content,
+    e.g. 2/(x-1).  f is monic, so the gcd and the denominator are monic
+    too; a reduced pair is therefore canonical, and two coronals are
+    equal iff their unreduced pairs satisfy p1*f2 == p2*f1.
     """
 
     numerator: IntPolynomial
     denominator: IntPolynomial
-    removed: IntPolynomial
 
     def as_pair(self) -> tuple[IntPolynomial, IntPolynomial]:
         return (self.numerator, self.denominator)
-
-    def unreduced(self) -> tuple[IntPolynomial, IntPolynomial]:
-        return (self.numerator * self.removed, self.denominator * self.removed)
 
 
 def coronal(matrix, mu) -> Coronal:
     """Reduced coronal of an integer symmetric matrix with the given marks."""
     p, f = coronal_pair(matrix, mu)
     r = poly_gcd(p, f)
-    num = p.exact_div(r)
-    den = f.exact_div(r)
-    if den.leading < 0:
-        num, den, r = -num, -den, -r
-    return Coronal(num, den, r)
+    return Coronal(p.exact_div(r), f.exact_div(r))
 
 
 def graph_coronal(g: SignedGraph, which: str = "A") -> Coronal:
@@ -419,11 +413,7 @@ def graph_coronal(g: SignedGraph, which: str = "A") -> Coronal:
 
 def shifted_coronal(c: Coronal) -> Coronal:
     """Substitute x -> x - 1 throughout (shift preserves the reduced form)."""
-    return Coronal(
-        c.numerator.taylor_shift(-1),
-        c.denominator.taylor_shift(-1),
-        c.removed.taylor_shift(-1),
-    )
+    return Coronal(c.numerator.taylor_shift(-1), c.denominator.taylor_shift(-1))
 
 
 # -- product characteristic polynomials --------------------------------------
@@ -440,14 +430,16 @@ def _mu_square_charpoly(g1: SignedGraph) -> IntPolynomial:
     return IntPolynomial((h * h_neg).coefficients[::2]) * (-1) ** g1.n
 
 
-def _cleared_product_poly(
-    g_sq: IntPolynomial, u: IntPolynomial, f: IntPolynomial, n1: int
+def _cleared_identity(
+    g_sq: IntPolynomial, p: IntPolynomial, f: IntPolynomial, n1: int, r: int = 0, d: int = 0
 ) -> IntPolynomial:
-    """sum_k g_k * u^k * f^(n1-k): the denominator-cleared spectral product.
-
-    Homogeneous Horner, R <- R u + g_k f^(n1-k) from k = n1 down: every
-    product has a factor of degree at most deg u.
-    """
+    """sum_k g_k u^k f^(n1-k), u = (x - r)((x - r - d) f - p): the product
+    identity cleared of f, whose block for an eigenvalue t of A(g1_mu) has
+    char poly u - t^2 f; g_sq = charpoly(A(g1_mu)^2).  Homogeneous Horner,
+    R <- R u + g_k f^(n1-k) from k = n1 down, so every product has a
+    factor of degree at most deg u."""
+    x = IntPolynomial.x()
+    u = (x - r) * ((x - (r + d)) * f - p)
     result = IntPolynomial((g_sq.coeff(n1),))
     f_pow = IntPolynomial.one()
     for k in range(n1 - 1, -1, -1):
@@ -456,55 +448,48 @@ def _cleared_product_poly(
     return result
 
 
-def _adjacency_product_poly(
-    g_sq: IntPolynomial, p2: IntPolynomial, f2: IntPolynomial, n1: int
-) -> IntPolynomial:
-    """The cleared adjacency identity: sum_k g_k u^k f2^(n1-k), u = x^2 f2 - x p2."""
-    x = IntPolynomial.x()
-    return _cleared_product_poly(g_sq, x * x * f2 - x * p2, f2, n1)
+def _product_char_poly(g1: SignedGraph, g2: SignedGraph, which: str) -> IntPolynomial:
+    """The cleared identity for the A, L or Q matrix of g1 (*) g2.
+
+    (p, f) is the unreduced coronal pair of g2's matrix under its
+    canonical marking, taken at x - s.  A has r = d = s = 0; L and Q need
+    g1 regular of degree r1 and have r = r1, d = n2, s = 1.
+    """
+    r = d = s = 0
+    if which != "A":
+        r, d, s = regularity(g1).degree_regular, g2.n, 1
+        if r is None:
+            raise ValueError("first factor must be degree-regular for L and Q")
+    p, f = coronal_pair(g2.matrix(which), canonical_marking(g2))
+    return _cleared_identity(
+        _mu_square_charpoly(g1), p.taylor_shift(-s), f.taylor_shift(-s), g1.n, r, d
+    )
 
 
 def product_char_poly_A(g1: SignedGraph, g2: SignedGraph) -> IntPolynomial:
     """Adjacency characteristic polynomial of the add-vertex corona.
 
-    Evaluates, exactly and without eigenvalues, the identity obtained by
-    clearing the coronal denominator from the product formula: with f2
-    and p2 the unreduced coronal pair of A(g2), u = x^2*f2 - x*p2, and
-    g the characteristic polynomial of A(g1_mu)^2, the result is
-    sum_k g_k u^k f2^(n1-k), monic of degree n1*(n2+2), by Horner's rule.
+    Exact and without eigenvalues, for any factors: with (p2, f2) the
+    unreduced coronal pair of A(g2) and g the characteristic polynomial
+    of A(g1_mu)^2, it is sum_k g_k u^k f2^(n1-k) with u = x^2 f2 - x p2,
+    monic of degree n1*(n2+2), by Horner's rule.
     """
-    p2, f2 = coronal_pair(g2.adjacency(), canonical_marking(g2))
-    return _adjacency_product_poly(_mu_square_charpoly(g1), p2, f2, g1.n)
-
-
-def _product_char_poly_LQ(g1: SignedGraph, g2: SignedGraph, which: str) -> IntPolynomial:
-    r1 = regularity(g1).degree_regular
-    if r1 is None:
-        raise ValueError(
-            "first factor must be degree-regular for the Laplacian-type "
-            "product polynomial"
-        )
-    p2, f2 = coronal_pair(g2.matrix(which), canonical_marking(g2))
-    fs = f2.taylor_shift(-1)
-    ps = p2.taylor_shift(-1)
-    x = IntPolynomial.x()
-    u = ((x - (r1 + g2.n)) * fs - ps) * (x - r1)
-    return _cleared_product_poly(_mu_square_charpoly(g1), u, fs, g1.n)
+    return _product_char_poly(g1, g2, "A")
 
 
 def product_char_poly_L(g1: SignedGraph, g2: SignedGraph) -> IntPolynomial:
     """Laplacian characteristic polynomial of the corona; g1 must be regular.
 
-    Cleared form of the identity with the x->x-1 shifted Laplacian coronal:
-    u = ((x - r1 - n2)*fL(x-1) - pL(x-1)) * (x - r1), summed against the
-    characteristic polynomial of A(g1_mu)^2 as in the adjacency case.
+    The adjacency identity with the x -> x-1 shifted Laplacian pair
+    (pL, fL) of g2 and u = (x - r1)((x - r1 - n2) fL(x-1) - pL(x-1)),
+    r1 the degree of g1; an irregular g1 raises ValueError.
     """
-    return _product_char_poly_LQ(g1, g2, "L")
+    return _product_char_poly(g1, g2, "L")
 
 
 def product_char_poly_Q(g1: SignedGraph, g2: SignedGraph) -> IntPolynomial:
-    """Signless-Laplacian variant of the corona product polynomial."""
-    return _product_char_poly_LQ(g1, g2, "Q")
+    """Signless-Laplacian variant of `product_char_poly_L`, from Q(g2)'s pair."""
+    return _product_char_poly(g1, g2, "Q")
 
 
 # -- squarefree decomposition and exact real roots ---------------------------

@@ -16,16 +16,17 @@ import numpy as np
 
 from .core import (
     SignedGraph,
+    _as_int,
     canonical_marking,
     is_balanced,
     regularity,
     star_graph,
 )
 from .exactpoly import (
-    _adjacency_product_poly,
+    _cleared_identity,
     _mu_square_charpoly,
     char_poly,
-    graph_coronal,
+    coronal_pair,
     integer_roots,
 )
 from .products import add_vertex_corona
@@ -226,7 +227,7 @@ def corollary_star_spectrum(g1: SignedGraph, n2: int, center_mark: int) -> Spect
     """
     if center_mark not in (1, -1):
         raise ValueError("center mark must be +1 or -1")
-    if n2 < 1:
+    if _as_int(n2, "leaf count") < 1:
         raise ValueError("star needs at least one leaf")
     if not is_balanced(g1):
         raise ValueError("first factor must be balanced for the star corollary")
@@ -274,28 +275,28 @@ def equienergetic_product_pair(g: SignedGraph, h1: SignedGraph, h2: SignedGraph)
         violations.append("empty first factor")
     if h1.n != h2.n:
         violations.append("order mismatch")
-    c1, c2 = graph_coronal(h1), graph_coronal(h2)
-    if c1.as_pair() != c2.as_pair():
+    # unreduced pairs (p, f), f = charpoly(A(h)); coronals equal iff p1 f2 = p2 f1
+    (p1, f1), (p2, f2) = (coronal_pair(h.adjacency(), canonical_marking(h)) for h in (h1, h2))
+    if p1 * f2 != p2 * f1:
         violations.append("coronal mismatch")
     e1, e2 = energy(h1).energy, energy(h2).energy
     if abs(e1 - e2) > 1e-8:
         violations.append("energy mismatch")
-    if c1.unreduced()[1] == c2.unreduced()[1]:  # the char polys of h1, h2
+    if f1 == f2:
         violations.append("cospectral inputs")
     if violations:
         raise PreconditionError(violations)
-    p1, _ = add_vertex_corona(g, h1)
-    p2, _ = add_vertex_corona(g, h2)
+    prod1, _ = add_vertex_corona(g, h1)
+    prod2, _ = add_vertex_corona(g, h2)
     pe1, pe2 = (float(sum(abs(v) for v in product_spectrum(g, h))) for h in (h1, h2))
     gap = abs(pe1 - pe2)
     g_sq = _mu_square_charpoly(g)
-    cospec = (_adjacency_product_poly(g_sq, *c1.unreduced(), g.n)
-              == _adjacency_product_poly(g_sq, *c2.unreduced(), g.n))
+    cospec = _cleared_identity(g_sq, p1, f1, g.n) == _cleared_identity(g_sq, p2, f2, g.n)
     if gap > 1e-6 or cospec:
         raise RuntimeError(
             "constructed products violate the equienergetic guarantee; this is a bug"
         )
-    return p1, p2, EquienergeticReport(pe1, pe2, gap, cospec)
+    return prod1, prod2, EquienergeticReport(pe1, pe2, gap, cospec)
 
 
 # Largest order in the networkx graph atlas, hence the search's limit.
@@ -371,10 +372,11 @@ def _spectral_keys(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _certify_pair(h1: SignedGraph, h2: SignedGraph) -> None:
-    """Confirm by exact coronals that a pair has equal reduced coronals and
-    different characteristic polynomials; a failure is an internal bug."""
-    c1, c2 = graph_coronal(h1), graph_coronal(h2)
-    if c1.as_pair() != c2.as_pair() or c1.unreduced()[1] == c2.unreduced()[1]:
+    """Confirm by exact coronal pairs that a pair has equal reduced coronals
+    (p1 f2 = p2 f1) and different characteristic polynomials (f1 != f2);
+    a failure is an internal bug."""
+    (p1, f1), (p2, f2) = (coronal_pair(h.adjacency(), canonical_marking(h)) for h in (h1, h2))
+    if p1 * f2 != p2 * f1 or f1 == f2:
         raise RuntimeError("search keys disagree with the exact coronals; this is a bug")
 
 

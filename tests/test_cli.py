@@ -201,6 +201,16 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_vertex_limit_is_a_header_error(tmp_path, capsys):
+    with pytest.raises(GraphFormatError, match="4096") as info:
+        parse_graph("# huge\nsg 3000000000\n")
+    assert info.value.line == 2
+    assert parse_graph("sg 4096\n").n == 4096
+    huge = graph_file(tmp_path, "huge.sg", "sg 3000000000\n")
+    assert main(["marking", huge]) == 2
+    assert "line 1" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["spectrum", str(tmp_path / "nope.sg")]) == 2
 

@@ -1,11 +1,13 @@
 import random
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from sgcorona import (
+    MAX_VERTICES,
     Marking,
     SignedGraph,
     balance,
@@ -13,6 +15,7 @@ from sgcorona import (
     char_poly,
     complete_graph,
     connected_components,
+    corollary_star_spectrum,
     cycle_graph,
     disjoint_union,
     eig_sym,
@@ -76,25 +79,25 @@ def test_degree_identities():
             assert g.signed_degree(v) == g.pos_degree(v) - g.neg_degree(v)
 
 
-def test_lazy_neighbor_index():
-    # a fresh graph (index not built) answers like one whose index is built
+def test_neighbor_queries_on_equal_graphs():
+    # graphs built from the same edges in another order are equal, hash
+    # alike and answer every neighbour and degree query alike; neighbours
+    # come sorted, and the degree list agrees with the per-vertex queries
     rng = random.Random(3)
     for _ in range(20):
         n = rng.randint(1, 8)
         edges = random_signed_graph(rng, n).edges()
-        built, fresh = SignedGraph(n, edges), SignedGraph(n, edges)
-        built.degrees()
-        assert fresh == built and hash(fresh) == hash(built)
-        assert fresh.degrees() == built.degrees()
+        a, b = SignedGraph(n, edges), SignedGraph(n, reversed(edges))
+        assert a == b and hash(a) == hash(b)
+        assert a.degrees() == b.degrees() == [a.degree(v) for v in range(n)]
         for v in range(n):
-            assert fresh.neighbors(v) == built.neighbors(v)
-            assert fresh.signed_degree(v) == built.signed_degree(v)
-        assert fresh == built and hash(fresh) == hash(built)
+            assert a.neighbors(v) == b.neighbors(v) == tuple(sorted(a.neighbors(v)))
+            assert a.signed_degree(v) == b.signed_degree(v)
 
 
-def test_lazy_neighbor_index_concurrent_first_use():
-    # four threads race to build the index of one graph; each must see
-    # the same neighbours as a graph indexed on a single thread
+def test_neighbor_queries_concurrent():
+    # four threads read the neighbours of one graph at once; each must
+    # see the same neighbours as a single thread
     rng = random.Random(4)
     edges = random_signed_graph(rng, 60, p=0.3).edges()
     want = [SignedGraph(60, edges).neighbors(v) for v in range(60)]
@@ -119,6 +122,45 @@ def test_lazy_neighbor_index_concurrent_first_use():
             assert seen == [want] * 4
     finally:
         sys.setswitchinterval(old)
+
+
+@pytest.mark.parametrize(
+    "build, size",
+    [
+        (empty_graph, -1),
+        (path_graph, -1),
+        (path_graph, 2.5),
+        (cycle_graph, 3.0),
+        (cycle_graph, "3"),
+        (complete_graph, -2),
+        (complete_graph, 3.0),
+        (star_graph, -1),
+        (star_graph, -2),
+        (star_graph, 2.0),
+        (lambda n: corollary_star_spectrum(path_graph(2), n, 1), 2.0),
+        (lambda n: corollary_star_spectrum(path_graph(2), n, 1), -1),
+    ],
+    ids=lambda v: getattr(v, "__name__", repr(v)),
+)
+def test_bad_sizes_raise_value_error(build, size):
+    # a negative or non-integer size is refused, never taken as 0 or
+    # left to list repetition or range to raise TypeError
+    with pytest.raises(ValueError):
+        build(size)
+
+
+def test_vertex_limit():
+    # refused before anything that grows with the count is built
+    start = time.perf_counter()
+    assert empty_graph(MAX_VERTICES).n == MAX_VERTICES
+    for build in (SignedGraph, empty_graph, path_graph, cycle_graph, complete_graph):
+        with pytest.raises(ValueError, match=str(MAX_VERTICES)):
+            build(MAX_VERTICES + 1)
+    with pytest.raises(ValueError, match=str(MAX_VERTICES)):
+        star_graph(MAX_VERTICES)  # MAX_VERTICES + 1 vertices
+    with pytest.raises(ValueError):
+        SignedGraph(3_000_000_000)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_matrix_definitions():

@@ -38,7 +38,7 @@ from sgcorona import (
     switch,
 )
 from sgcorona.exactpoly import (
-    _cleared_product_poly,
+    _cleared_identity,
     _fujiwara_bound,
     _isolate_squarefree,
     _matmul,
@@ -236,9 +236,8 @@ def test_coronal_positive_path():
     c = graph_coronal(path_graph(2))
     assert c.numerator == poly(2)
     assert c.denominator == poly(-1, 1)
-    assert c.removed == poly(1, 1)
-    # unreduced pair is (2x+2)/(x^2-1)
-    assert c.unreduced() == (poly(2, 2), poly(-1, 0, 1))
+    # the unreduced pair (2x+2)/(x^2-1) loses the monic gcd x+1
+    assert coronal_pair(path_graph(2).adjacency(), (1, 1)) == (poly(2, 2), poly(-1, 0, 1))
 
 
 def test_coronal_star():
@@ -256,8 +255,9 @@ def test_coronal_reconstruction():
         mu = canonical_marking(g)
         p, f = coronal_pair(g.adjacency(), mu)
         c = coronal(g.adjacency(), mu)
-        assert c.numerator * c.removed == p
-        assert c.denominator * c.removed == f
+        removed = f.exact_div(c.denominator)
+        assert c.numerator * removed == p
+        assert removed.is_monic and poly_gcd(p, f) == removed
         assert c.numerator.degree < c.denominator.degree
         assert c.denominator.is_monic
         assert poly_gcd(c.numerator, c.denominator) == poly(1)
@@ -392,8 +392,7 @@ def test_balanced_first_factor_cospectral_substitution():
         assert g_from_plain == g_from_mu
         mu2 = canonical_marking(g2)
         p2, f2 = coronal_pair(g2.adjacency(), mu2)
-        u = X * X * f2 - X * p2
-        rebuilt = _cleared_product_poly(g_from_plain, u, f2, g1.n)
+        rebuilt = _cleared_identity(g_from_plain, p2, f2, g1.n)
         assert rebuilt == product_char_poly_A(g1, g2)
 
 
@@ -404,13 +403,17 @@ def test_balanced_first_factor_cospectral_substitution():
     ),
     st.lists(st.integers(-5, 5), max_size=5),
     st.lists(st.integers(-5, 5), max_size=5),
+    st.integers(-4, 4),
+    st.integers(0, 5),
 )
-def test_property_cleared_product_matches_naive_sum(n1_g, u, f):
-    # Horner assembly against sum_k g_k u^k f^(n1-k), term by term
+def test_property_cleared_product_matches_naive_sum(n1_g, p, f, r, d):
+    # Horner assembly against sum_k g_k u^k f^(n1-k), term by term, with
+    # u = (x - r)((x - r - d) f - p)
     n1, g = n1_g
-    g, u, f = IntPolynomial(g), IntPolynomial(u), IntPolynomial(f)
+    g, p, f = IntPolynomial(g), IntPolynomial(p), IntPolynomial(f)
+    u = (X - r) * ((X - r - d) * f - p)
     naive = sum((g.coeff(k) * u ** k * f ** (n1 - k) for k in range(n1 + 1)), IntPolynomial())
-    assert _cleared_product_poly(g, u, f, n1) == naive
+    assert _cleared_identity(g, p, f, n1, r, d) == naive
 
 
 def test_mu_square_charpoly_from_underlying_graph():

@@ -1,9 +1,10 @@
 """Source hygiene of the package, checked with the standard-library ast.
 
 Every name a module imports must be used (a package __init__ imports to
-re-export, so it is exempt), every __all__ entry must be defined at
-module level, and no module may check anything with an `assert`
-statement, which `python -O` strips.  No linter is needed to run this.
+re-export, so it is exempt, but each name it re-exports must be in its
+submodule's __all__), every __all__ entry must be defined at module
+level, and no module may check anything with an `assert` statement,
+which `python -O` strips.  No linter is needed to run this.
 """
 
 import ast
@@ -65,6 +66,13 @@ def _defined(tree):
     return names
 
 
+def _reexports(tree):
+    """(submodule, name) for each name imported from a sibling submodule."""
+    return [(node.module, a.name) for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            for a in node.names]
+
+
 def _asserts(tree):
     """Line numbers of the module's assert statements."""
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
@@ -85,6 +93,16 @@ def test_all_entries_defined(path):
     assert not missing, f"{path.name} lists undefined names in __all__: {sorted(missing)}"
 
 
+def test_reexports_are_in_submodule_all():
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    reexports = _reexports(init)
+    assert reexports
+    missing = [f"{module}.{name}" for module, name in reexports
+               if name not in _all_entries(ast.parse(
+                   (PACKAGE / f"{module}.py").read_text(encoding="utf-8")))]
+    assert not missing, f"__init__.py re-exports names missing from __all__: {missing}"
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_assert_statements(path):
     lines = _asserts(ast.parse(path.read_text(encoding="utf-8")))
@@ -94,6 +112,8 @@ def test_no_assert_statements(path):
 def test_checks_catch_defects():
     source = "from x import a, b\n__all__ = ['c', 'd']\ndef d() -> 'b': pass\nassert d\n"
     tree = ast.parse(source)
+    assert _reexports(ast.parse("from .x import a\nfrom . import y\nfrom z import b\n")) == [
+        ("x", "a")]
     assert _imported(tree) - _used(tree) - set(_all_entries(tree)) == {"a"}
     assert set(_all_entries(tree)) - _defined(tree) == {"c"}
     assert _asserts(tree) == [4]

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from sgcorona import (
     char_poly,
     complete_graph,
     connected_components,
+    coronal_pair,
     corollary_coregular_spectrum,
     corollary_star_spectrum,
     cospectral,
@@ -389,8 +391,27 @@ def test_search_keys_agree_with_exact_kernel():
         traces, moments = _spectral_keys(np.array([g.adjacency() for g in graphs]))
         exact = [graph_coronal(g) for g in graphs]
         assert _first_index(map(bytes, traces)) == _first_index(
-            c.unreduced()[1] for c in exact)
+            char_poly(g.adjacency()) for g in graphs)
         assert _first_index(map(bytes, moments)) == _first_index(c.as_pair() for c in exact)
+
+
+def test_coronal_equality_by_cross_multiplication():
+    # reduced coronals are canonical, so two graphs have equal coronals iff
+    # their unreduced pairs satisfy p1*f2 == p2*f1; the exact certificate
+    # of the equienergetic construction and search rests on this
+    pair_base = SignedGraph(6, [(u, v, 1) for u, v, _ in FIRST_PAIR_EDGES[0]])
+    equal = unequal = 0
+    for base in (complete_graph(4), cycle_graph(5), star_graph(4), pair_base):
+        graphs = list(all_signings(base))
+        reduced = [graph_coronal(g).as_pair() for g in graphs]
+        pairs = [coronal_pair(g.adjacency(), canonical_marking(g)) for g in graphs]
+        for i, j in combinations(range(len(graphs)), 2):
+            (p1, f1), (p2, f2) = pairs[i], pairs[j]
+            same = reduced[i] == reduced[j]
+            assert same == (p1 * f2 == p2 * f1)
+            equal += same
+            unequal += not same
+    assert equal and unequal
 
 
 def test_first_pair_products_dense_check(first_pair):
