@@ -4,7 +4,7 @@ Graph file format (extension .sg by convention, 1-indexed vertices):
 
     # comment
     sg <n>              (0 <= n <= MAX_VERTICES = 4096)
-    e <u> <v> <+|->
+    e <u> <v> <+|->     (at most MAX_EDGES = 1048576 edge lines)
 
 Exit codes: 0 success/PASS, 1 FAIL, 2 usage or parse errors, 3 internal
 errors (eigensolver non-convergence or a failed internal consistency check).
@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import MAX_VERTICES, SignedGraph, balance, canonical_marking
+from .core import MAX_EDGES, MAX_VERTICES, SignedGraph, balance, canonical_marking
 from .exactpoly import (
     char_poly,
     graph_coronal,
@@ -78,6 +78,8 @@ def parse_graph(text: str) -> SignedGraph:
             continue
         if parts[0] != "e" or len(parts) != 4:
             raise GraphFormatError(lineno, f"expected edge 'e <u> <v> <+|->', got {line!r}")
+        if len(edges) == MAX_EDGES:
+            raise GraphFormatError(lineno, f"edge count must be at most {MAX_EDGES}")
         try:
             u, v = int(parts[1]), int(parts[2])
         except ValueError:

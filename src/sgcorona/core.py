@@ -14,6 +14,7 @@ from itertools import combinations
 
 __all__ = [
     "MAX_VERTICES",
+    "MAX_EDGES",
     "Marking",
     "SignedGraph",
     "BalanceResult",
@@ -87,6 +88,9 @@ def _as_int(value, what: str) -> int:
 # Largest vertex count a SignedGraph accepts: a dense n x n matrix holds
 # 16.8 million entries at this size.
 MAX_VERTICES = 4096
+# Largest edge count a SignedGraph accepts, about twice the 523,776 edges
+# of K_1024, which already retains 48 MiB; K_4096's 8.4 million are refused.
+MAX_EDGES = 1 << 20
 
 
 def _vertex_count(value, what: str = "vertex count") -> int:
@@ -100,8 +104,9 @@ def _vertex_count(value, what: str = "vertex count") -> int:
 class SignedGraph:
     """Immutable simple undirected graph with edge signs in {+1, -1}.
 
-    Vertices are the integers 0..n-1, at most MAX_VERTICES of them.
-    Loops and parallel edges are rejected at construction.
+    Vertices are the integers 0..n-1, at most MAX_VERTICES of them, and
+    there are at most MAX_EDGES edges.  Loops and parallel edges are
+    rejected at construction.
     """
 
     __slots__ = ("_n", "_edges")
@@ -119,6 +124,8 @@ class SignedGraph:
             key = (u, v) if u < v else (v, u)
             if key in store:
                 raise ValueError(f"duplicate edge {key}")
+            if len(store) == MAX_EDGES:
+                raise ValueError(f"edge count must be at most {MAX_EDGES}")
             store[key] = _check_sign(s)
         self._n = n
         self._edges = store
@@ -422,6 +429,9 @@ def cycle_graph(n: int, signs=None) -> SignedGraph:
 def complete_graph(n: int, signs=None) -> SignedGraph:
     """Complete graph; signs follow lexicographic edge order."""
     n = _vertex_count(n)
+    m = n * (n - 1) // 2
+    if m > MAX_EDGES:
+        raise ValueError(f"edge count must be at most {MAX_EDGES}, got {m}")
     pairs = list(combinations(range(n), 2))
     ss = _sign_list(signs, len(pairs))
     return SignedGraph(n, ((u, v, s) for (u, v), s in zip(pairs, ss)))

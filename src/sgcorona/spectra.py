@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._atlas import connected_graphs
 from .core import (
     SignedGraph,
     _as_int,
@@ -299,29 +300,12 @@ def equienergetic_product_pair(g: SignedGraph, h1: SignedGraph, h2: SignedGraph)
     return prod1, prod2, EquienergeticReport(pe1, pe2, gap, cospec)
 
 
-# Largest order in the networkx graph atlas, hence the search's limit.
+# Largest order in the shipped atlas table (`_atlas.py`), hence the
+# search's limit.
 _ATLAS_MAX_N = 7
 # Signatures per batched eigensolve or key computation in the search; the
 # working arrays hold about _SEARCH_CHUNK * n^2 numbers.
 _SEARCH_CHUNK = 4096
-
-
-def _atlas_connected(max_n: int):
-    """Connected graphs on 2..max_n vertices, one per isomorphism class."""
-    import networkx as nx
-
-    out = []
-    for g in nx.graph_atlas_g():
-        n = g.number_of_nodes()
-        if n < 2 or n > max_n:
-            continue
-        if not nx.is_connected(g):
-            continue
-        mapping = {v: i for i, v in enumerate(sorted(g.nodes()))}
-        edges = tuple(sorted((min(mapping[u], mapping[v]), max(mapping[u], mapping[v]))
-                             for u, v in g.edges()))
-        out.append((n, edges))
-    return out
 
 
 def _signature_matrices(n: int, us: np.ndarray, vs: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -386,8 +370,11 @@ def equienergetic_search(max_n: int = 6, find_all: bool = False):
     Scans every signature of every connected graph on up to max_n
     vertices (one representative per isomorphism class of the underlying
     graph; energy, spectra and coronals are isomorphism-invariant, so the
-    reduction loses nothing).  max_n above 7, the largest order in the
-    networkx graph atlas, raises ValueError.  Signatures are sorted by
+    reduction loses nothing), taken in atlas order from the connected
+    graphs of Read & Wilson's graph atlas that the package ships as a
+    table (`_atlas.py`).  max_n must be an integer: at most 1 finds
+    nothing, and a non-integer or a value above 7, the table's largest
+    order, raises ValueError.  Signatures are sorted by
     batched float energy and chained into clusters whose neighbours lie
     within 1e-8.  Inside a cluster, candidates are grouped by exact
     integer keys (power traces for the characteristic polynomial,
@@ -397,16 +384,14 @@ def equienergetic_search(max_n: int = 6, find_all: bool = False):
     coronals.  Returns a list of (h1, h2) pairs; with find_all False the
     scan stops at the first hit.
     """
+    max_n = _as_int(max_n, "max_n")
     if max_n > _ATLAS_MAX_N:
         raise ValueError(
             f"max_n must be at most {_ATLAS_MAX_N}, the largest order in the graph atlas"
         )
     found: list[tuple[SignedGraph, SignedGraph]] = []
-    by_n: dict[int, list[tuple[tuple[int, int], ...]]] = {}
-    for n, edges in _atlas_connected(max_n):
-        by_n.setdefault(n, []).append(edges)
-    for n in sorted(by_n):
-        graphs = by_n[n]
+    for n in range(2, max_n + 1):
+        graphs = connected_graphs(n)
         # edge endpoints per graph, padded with (n, n) to a common width
         us = np.full((len(graphs), max(len(e) for e in graphs)), n)
         vs = us.copy()

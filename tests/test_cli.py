@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from sgcorona import SignedGraph, cycle_graph, path_graph
+from sgcorona import SignedGraph, cli, cycle_graph, path_graph
 from sgcorona.cli import GraphFormatError, main, parse_graph, write_graph
 from helpers import known_admissible_pair, random_signed_graph
 
@@ -209,6 +209,17 @@ def test_vertex_limit_is_a_header_error(tmp_path, capsys):
     huge = graph_file(tmp_path, "huge.sg", "sg 3000000000\n")
     assert main(["marking", huge]) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+def test_edge_limit_is_an_edge_line_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_EDGES", 2)
+    text = "sg 4\ne 1 2 +\ne 2 3 -\n# third edge\ne 3 4 +\n"
+    with pytest.raises(GraphFormatError, match="at most 2") as info:
+        parse_graph(text)
+    assert info.value.line == 5
+    assert parse_graph("sg 4\ne 1 2 +\ne 2 3 -\n").m == 2
+    assert main(["marking", graph_file(tmp_path, "dense.sg", text)]) == 2
+    assert "line 5" in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sgcorona import (
+    MAX_EDGES,
     MAX_VERTICES,
     Marking,
     SignedGraph,
@@ -29,6 +30,7 @@ from sgcorona import (
     star_graph,
     switch,
 )
+from sgcorona import core
 from helpers import random_marking, random_signed_graph
 
 
@@ -161,6 +163,23 @@ def test_vertex_limit():
     with pytest.raises(ValueError):
         SignedGraph(3_000_000_000)
     assert time.perf_counter() - start < 1.0
+
+
+def test_edge_limit(monkeypatch):
+    # K_4096 and K_1449 are refused before any edge is built; K_1448 fits
+    start = time.perf_counter()
+    assert MAX_EDGES == 1 << 20 >= 1448 * 1447 // 2
+    for n in (MAX_VERTICES, 1449):
+        with pytest.raises(ValueError, match=str(MAX_EDGES)):
+            complete_graph(n)
+    assert time.perf_counter() - start < 1.0
+    # construction stops at the first edge past the limit
+    monkeypatch.setattr(core, "MAX_EDGES", 3)
+    assert complete_graph(3).m == 3
+    for build in (lambda: complete_graph(4), lambda: star_graph(4),
+                  lambda: SignedGraph(MAX_VERTICES, ((0, v, 1) for v in range(1, MAX_VERTICES)))):
+        with pytest.raises(ValueError, match="at most 3"):
+            build()
 
 
 def test_matrix_definitions():

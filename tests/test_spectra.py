@@ -1,7 +1,12 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,7 +51,8 @@ from sgcorona import (
     switching_iso_witness,
     vertex_corona,
 )
-from sgcorona.spectra import _spectral_keys
+from sgcorona._atlas import connected_graphs
+from sgcorona.spectra import _ATLAS_MAX_N, _spectral_keys
 from helpers import (
     all_signings,
     known_admissible_pair,
@@ -370,7 +376,40 @@ def test_equienergetic_search_rejects_orders_beyond_atlas():
     start = time.perf_counter()
     with pytest.raises(ValueError, match="at most 7"):
         equienergetic_search(max_n=8)
+    for bad in (6.5, "6", None):
+        with pytest.raises(ValueError, match="max_n must be an integer"):
+            equienergetic_search(max_n=bad)
+    assert equienergetic_search(max_n=1) == equienergetic_search(max_n=-3) == []
     assert time.perf_counter() - start < 1.0
+
+
+def test_atlas_table_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    expected = {}
+    for g in nx.graph_atlas_g():
+        if g.number_of_nodes() >= 2 and nx.is_connected(g):
+            expected.setdefault(g.number_of_nodes(), []).append(
+                tuple(sorted((min(e), max(e)) for e in g.edges())))
+    assert sorted(expected) == list(range(2, _ATLAS_MAX_N + 1))
+    assert sum(map(len, expected.values())) == 995
+    for n, graphs in expected.items():
+        assert connected_graphs(n) == graphs
+
+
+def test_search_runs_without_networkx():
+    # a fresh interpreter, so no other test has imported networkx yet
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import json, sys, sgcorona\n"
+            "pairs = sgcorona.equienergetic_search(6)\n"
+            "print(json.dumps([[h.edges() for h in pair] for pair in pairs]))\n"
+            "print('networkx' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    pairs = [tuple([tuple(e) for e in edges] for edges in pair) for pair in json.loads(out[0])]
+    assert pairs == [FIRST_PAIR_EDGES]
+    assert out[1] == "False"
 
 
 def _first_index(keys):
