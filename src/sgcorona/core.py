@@ -8,9 +8,12 @@ operation is a pure function, so the API is safe to use concurrently.
 from __future__ import annotations
 
 import operator
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from operator import and_, eq, itemgetter
 
 __all__ = [
     "MAX_VERTICES",
@@ -89,7 +92,8 @@ def _as_int(value, what: str) -> int:
 # 16.8 million entries at this size.
 MAX_VERTICES = 4096
 # Largest edge count a SignedGraph accepts, about twice the 523,776 edges
-# of K_1024, which already retains 48 MiB; K_4096's 8.4 million are refused.
+# of K_1024, whose store takes about 2.5 MiB but whose construction peaks
+# near 65 MiB in edge tuples; K_4096's 8.4 million are refused.
 MAX_EDGES = 1 << 20
 
 
@@ -106,14 +110,17 @@ class SignedGraph:
 
     Vertices are the integers 0..n-1, at most MAX_VERTICES of them, and
     there are at most MAX_EDGES edges.  Loops and parallel edges are
-    rejected at construction.
+    rejected at construction.  The edges are stored sorted by (u, v), with
+    u < v, in three parallel typed arrays: endpoints as unsigned 16-bit
+    and signs as signed 8-bit integers, 5 bytes per edge.  Edge lookups
+    bisect them.
     """
 
-    __slots__ = ("_n", "_edges")
+    __slots__ = ("_n", "_u", "_v", "_s")
 
     def __init__(self, n: int, edges=()):
         n = _vertex_count(n)
-        store: dict[tuple[int, int], int] = {}
+        keyed: list[tuple[int, int, int]] = []
         for item in edges:
             u, v, s = item
             u, v = _as_int(u, "edge endpoint"), _as_int(v, "edge endpoint")
@@ -121,14 +128,19 @@ class SignedGraph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
-            key = (u, v) if u < v else (v, u)
-            if key in store:
-                raise ValueError(f"duplicate edge {key}")
-            if len(store) == MAX_EDGES:
+            if len(keyed) == MAX_EDGES:
                 raise ValueError(f"edge count must be at most {MAX_EDGES}")
-            store[key] = _check_sign(s)
+            keyed.append((u, v, _check_sign(s)) if u < v else (v, u, _check_sign(s)))
+        keyed.sort()
+        # zip(*keyed) would make one iterator object per edge
+        us, vs, ss = (tuple(map(itemgetter(i), keyed)) for i in range(3))
+        repeats = list(map(and_, map(eq, us, us[1:]), map(eq, vs, vs[1:])))
+        if any(repeats):
+            i = repeats.index(True)
+            raise ValueError(f"duplicate edge {(us[i], vs[i])}")
         self._n = n
-        self._edges = store
+        # 'H' holds 0..65535, above MAX_VERTICES - 1, and 'b' holds +-1
+        self._u, self._v, self._s = array("H", us), array("H", vs), array("b", ss)
 
     # -- basic queries ------------------------------------------------
 
@@ -138,22 +150,29 @@ class SignedGraph:
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return len(self._u)
 
     def edges(self) -> list[tuple[int, int, int]]:
         """Edges as (u, v, sign) with u < v, sorted lexicographically."""
-        return [(u, v, s) for (u, v), s in sorted(self._edges.items())]
+        return list(zip(self._u, self._v, self._s))
+
+    def _find(self, u: int, v: int) -> int:
+        """Index of edge uv in the arrays, or -1 when there is none."""
+        if u > v:
+            u, v = v, u
+        lo = bisect_left(self._u, u)
+        hi = bisect_right(self._u, u, lo)
+        i = bisect_left(self._v, v, lo, hi)
+        return i if i < hi and self._v[i] == v else -1
 
     def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self._edges
+        return self._find(u, v) >= 0
 
     def sign(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self._edges[key]
-        except KeyError:
-            raise ValueError(f"no edge between {u} and {v}") from None
+        i = self._find(u, v)
+        if i < 0:
+            raise ValueError(f"no edge between {u} and {v}")
+        return self._s[i]
 
     def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
         """Sorted (neighbor, sign) pairs incident to v."""
@@ -175,7 +194,7 @@ class SignedGraph:
 
     def degrees(self) -> list[int]:
         degs = [0] * self._n
-        for u, v in self._edges:
+        for u, v in zip(self._u, self._v):
             degs[u] += 1
             degs[v] += 1
         return degs
@@ -184,7 +203,7 @@ class SignedGraph:
 
     def adjacency(self) -> list[list[int]]:
         a = [[0] * self._n for _ in range(self._n)]
-        for (u, v), s in self._edges.items():
+        for u, v, s in zip(self._u, self._v, self._s):
             a[u][v] = s
             a[v][u] = s
         return a
@@ -232,10 +251,11 @@ class SignedGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignedGraph):
             return NotImplemented
-        return self._n == other._n and self._edges == other._edges
+        return (self._n == other._n and self._u == other._u and self._v == other._v
+                and self._s == other._s)
 
     def __hash__(self) -> int:
-        return hash((self._n, frozenset(self._edges.items())))
+        return hash((self._n, self._u.tobytes(), self._v.tobytes(), self._s.tobytes()))
 
     def __repr__(self) -> str:
         return f"SignedGraph(n={self._n}, m={self.m})"
@@ -432,9 +452,8 @@ def complete_graph(n: int, signs=None) -> SignedGraph:
     m = n * (n - 1) // 2
     if m > MAX_EDGES:
         raise ValueError(f"edge count must be at most {MAX_EDGES}, got {m}")
-    pairs = list(combinations(range(n), 2))
-    ss = _sign_list(signs, len(pairs))
-    return SignedGraph(n, ((u, v, s) for (u, v), s in zip(pairs, ss)))
+    ss = _sign_list(signs, m)
+    return SignedGraph(n, ((u, v, s) for (u, v), s in zip(combinations(range(n), 2), ss)))
 
 
 def star_graph(leaves: int, signs=None) -> SignedGraph:

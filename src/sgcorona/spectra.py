@@ -303,6 +303,9 @@ def equienergetic_product_pair(g: SignedGraph, h1: SignedGraph, h2: SignedGraph)
 # Largest order in the shipped atlas table (`_atlas.py`), hence the
 # search's limit.
 _ATLAS_MAX_N = 7
+# Largest order a find_all search scans: order 7 has 12,340,288 signatures,
+# 89 times order 6's, and about 197 MB of scan arrays.
+_FIND_ALL_MAX_N = 6
 # Signatures per batched eigensolve or key computation in the search; the
 # working arrays hold about _SEARCH_CHUNK * n^2 numbers.
 _SEARCH_CHUNK = 4096
@@ -374,7 +377,8 @@ def equienergetic_search(max_n: int = 6, find_all: bool = False):
     graphs of Read & Wilson's graph atlas that the package ships as a
     table (`_atlas.py`).  max_n must be an integer: at most 1 finds
     nothing, and a non-integer or a value above 7, the table's largest
-    order, raises ValueError.  Signatures are sorted by
+    order, raises ValueError, and so does max_n = 7 with find_all true,
+    which would scan every order-7 signature.  Signatures are sorted by
     batched float energy and chained into clusters whose neighbours lie
     within 1e-8.  Inside a cluster, candidates are grouped by exact
     integer keys (power traces for the characteristic polynomial,
@@ -388,6 +392,11 @@ def equienergetic_search(max_n: int = 6, find_all: bool = False):
     if max_n > _ATLAS_MAX_N:
         raise ValueError(
             f"max_n must be at most {_ATLAS_MAX_N}, the largest order in the graph atlas"
+        )
+    if find_all and max_n > _FIND_ALL_MAX_N:
+        raise ValueError(
+            f"max_n must be at most {_FIND_ALL_MAX_N} with find_all: order "
+            f"{_FIND_ALL_MAX_N + 1} has too many signatures to scan them all"
         )
     found: list[tuple[SignedGraph, SignedGraph]] = []
     for n in range(2, max_n + 1):

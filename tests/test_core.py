@@ -1,7 +1,10 @@
+import gc
 import random
 import sys
 import threading
 import time
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from sgcorona import (
     MAX_VERTICES,
     Marking,
     SignedGraph,
+    add_vertex_corona,
     balance,
     canonical_marking,
     char_poly,
@@ -180,6 +184,82 @@ def test_edge_limit(monkeypatch):
                   lambda: SignedGraph(MAX_VERTICES, ((0, v, 1) for v in range(1, MAX_VERTICES)))):
         with pytest.raises(ValueError, match="at most 3"):
             build()
+
+
+def test_edge_store_matches_dict_oracle():
+    # the sorted typed-array store answers every query as a dict keyed by
+    # (min, max) would, whatever the order of the edges and their endpoints
+    rng = random.Random(5)
+    for _ in range(150):
+        n = rng.randint(0, 12)
+        oracle = {(u, v): rng.choice((1, -1))
+                  for u, v in combinations(range(n), 2) if rng.random() < 0.4}
+
+        def given():
+            edges = [(v, u, s) if rng.random() < 0.5 else (u, v, s)
+                     for (u, v), s in oracle.items()]
+            rng.shuffle(edges)
+            return edges
+
+        g, h = SignedGraph(n, given()), SignedGraph(n, given())
+        assert g.edges() == sorted((u, v, s) for (u, v), s in oracle.items())
+        assert g == h and hash(g) == hash(h) and g.m == len(oracle)
+        adj, degs = [[0] * n for _ in range(n)], [0] * n
+        for (u, v), s in oracle.items():
+            adj[u][v] = adj[v][u] = s
+            degs[u] += 1
+            degs[v] += 1
+        assert g.adjacency() == adj and g.degrees() == degs
+        for u in range(n):
+            for v in range(n):
+                key = (min(u, v), max(u, v))
+                assert g.has_edge(u, v) == (key in oracle)
+                if key in oracle:
+                    assert g.sign(u, v) == oracle[key]
+                else:
+                    with pytest.raises(ValueError, match="no edge"):
+                        g.sign(u, v)
+        if oracle:
+            (u, v), s = rng.choice(list(oracle.items()))
+            assert g != SignedGraph(n, [(a, b, -t if (a, b) == (u, v) else t)
+                                        for a, b, t in g.edges()])
+            with pytest.raises(ValueError, match=f"duplicate edge \\({u}, {v}\\)"):
+                SignedGraph(n, [(u, v, s), (v, u, s)])
+            with pytest.raises(ValueError, match="duplicate edge"):
+                SignedGraph(n, given() + [(v, u, -s)])
+    # endpoints at the top of the vertex range fit the 16-bit arrays
+    top = SignedGraph(MAX_VERTICES, [(0, 4095, 1), (4095, 4094, -1)])
+    assert top.edges() == [(0, 4095, 1), (4094, 4095, -1)]
+    assert SignedGraph(MAX_VERTICES, top.edges()) == top
+    assert top.sign(4095, 0) == 1 and top.sign(4094, 4095) == -1
+    assert not top.has_edge(0, 4094)
+
+
+def test_edge_store_memory():
+    # the store takes 5 bytes per edge in three typed arrays; a dict keyed
+    # by endpoint tuples took about 90, 6.4 KB for a 72-edge product.  A
+    # full collection also empties the free lists, so only live objects count
+    start = time.perf_counter()
+    g1 = complete_graph(4)
+    g2 = SignedGraph(6, [(0, 1, 1), (0, 2, -1), (1, 2, 1), (2, 3, -1), (3, 4, 1),
+                         (4, 5, -1), (0, 5, 1), (1, 4, -1), (2, 5, 1)])
+    add_vertex_corona(g1, g2)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        products = [add_vertex_corona(g1, g2)[0] for _ in range(100)]
+        gc.collect()
+        per_product = (tracemalloc.get_traced_memory()[0] - before) / len(products)
+        before = tracemalloc.get_traced_memory()[0]
+        k = complete_graph(256)
+        gc.collect()
+        k_bytes = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert products[0].m == 72 and per_product < 1024
+    assert k.m == 32640 and k_bytes < 512 * 1024
+    assert time.perf_counter() - start < 2.0
 
 
 def test_matrix_definitions():

@@ -376,6 +376,9 @@ def test_equienergetic_search_rejects_orders_beyond_atlas():
     start = time.perf_counter()
     with pytest.raises(ValueError, match="at most 7"):
         equienergetic_search(max_n=8)
+    # refused before any scan: order 7 alone has 12,340,288 signatures
+    with pytest.raises(ValueError, match="at most 6 with find_all"):
+        equienergetic_search(max_n=7, find_all=True)
     for bad in (6.5, "6", None):
         with pytest.raises(ValueError, match="max_n must be an integer"):
             equienergetic_search(max_n=bad)
