@@ -10,11 +10,8 @@ from .core import (
     balance,
     canonical_marking,
     complete_graph,
-    connected_components,
     cycle_graph,
-    disjoint_union,
     empty_graph,
-    induced_subgraph,
     is_balanced,
     mu_signed_graph,
     path_graph,
@@ -36,7 +33,6 @@ from .exactpoly import (
     product_char_poly_L,
     product_char_poly_Q,
     real_roots,
-    shifted_coronal,
     squarefree_decomposition,
 )
 from .products import (

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import and_, eq, itemgetter
 
+import numpy as np
+
 __all__ = [
     "MAX_VERTICES",
     "MAX_EDGES",
@@ -29,14 +31,11 @@ __all__ = [
     "switch",
     "regularity",
     "relabel",
-    "induced_subgraph",
-    "connected_components",
     "empty_graph",
     "path_graph",
     "cycle_graph",
     "complete_graph",
     "star_graph",
-    "disjoint_union",
 ]
 
 
@@ -175,22 +174,21 @@ class SignedGraph:
         return self._s[i]
 
     def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
-        """Sorted (neighbor, sign) pairs incident to v."""
-        return tuple(_neighbor_lists(self)[v])
+        """Sorted (neighbor, sign) pairs incident to v: the edges (u, v) before
+        v's bisected run of the arrays, found by one numpy scan, then that run."""
+        v = _as_int(v, "vertex")
+        if not 0 <= v < self._n:
+            raise ValueError(f"vertex {v} out of range for n={self._n}")
+        lo = bisect_left(self._u, v)
+        hi = bisect_right(self._u, v, lo)
+        below = np.flatnonzero(np.frombuffer(self._v, np.uint16, count=lo) == v).tolist()
+        return tuple([(self._u[i], self._s[i]) for i in below]
+                     + list(zip(self._v[lo:hi], self._s[lo:hi])))
 
     # -- degrees ------------------------------------------------------
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
-
-    def pos_degree(self, v: int) -> int:
-        return sum(1 for _, s in self.neighbors(v) if s > 0)
-
-    def neg_degree(self, v: int) -> int:
-        return sum(1 for _, s in self.neighbors(v) if s < 0)
-
-    def signed_degree(self, v: int) -> int:
-        return sum(s for _, s in self.neighbors(v))
 
     def degrees(self) -> list[int]:
         degs = [0] * self._n
@@ -228,23 +226,6 @@ class SignedGraph:
         if which == "Q":
             return self.signless_laplacian()
         raise ValueError(f"matrix selector must be 'A', 'L' or 'Q', got {which!r}")
-
-    @classmethod
-    def from_adjacency(cls, mat) -> "SignedGraph":
-        n = len(mat)
-        for i, row in enumerate(mat):
-            if len(row) != n:
-                raise ValueError("adjacency matrix must be square")
-            if mat[i][i] != 0:
-                raise ValueError(f"nonzero diagonal at {i}")
-        edges = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if mat[i][j] != mat[j][i]:
-                    raise ValueError(f"asymmetric entries at ({i},{j})")
-                if mat[i][j] != 0:
-                    edges.append((i, j, _check_sign(mat[i][j])))
-        return cls(n, edges)
 
     # -- value semantics ----------------------------------------------
 
@@ -377,41 +358,6 @@ def relabel(g: SignedGraph, perm) -> SignedGraph:
     return SignedGraph(g.n, ((p[u], p[v], s) for u, v, s in g.edges()))
 
 
-def induced_subgraph(g: SignedGraph, vertices) -> SignedGraph:
-    """Subgraph on the given vertices, reindexed in the order supplied."""
-    verts = list(vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    if len(index) != len(verts):
-        raise ValueError("duplicate vertices")
-    edges = []
-    for u, v, s in g.edges():
-        if u in index and v in index:
-            edges.append((index[u], index[v], s))
-    return SignedGraph(len(verts), edges)
-
-
-def connected_components(g: SignedGraph) -> list[list[int]]:
-    """Vertex sets of the connected components, each sorted, in BFS order."""
-    adj = _neighbor_lists(g)
-    seen = [False] * g.n
-    comps = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp = [root]
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, _ in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(sorted(comp))
-    return comps
-
-
 # -- small graph constructors ------------------------------------------
 
 
@@ -461,9 +407,3 @@ def star_graph(leaves: int, signs=None) -> SignedGraph:
     leaves = _vertex_count(leaves, "leaf count")
     ss = _sign_list(signs, leaves)
     return SignedGraph(leaves + 1, ((0, i + 1, ss[i]) for i in range(leaves)))
-
-
-def disjoint_union(a: SignedGraph, b: SignedGraph) -> SignedGraph:
-    edges = list(a.edges())
-    edges.extend((u + a.n, v + a.n, s) for u, v, s in b.edges())
-    return SignedGraph(a.n + b.n, edges)

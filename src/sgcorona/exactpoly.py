@@ -32,7 +32,6 @@ __all__ = [
     "coronal_pair",
     "coronal",
     "graph_coronal",
-    "shifted_coronal",
     "product_char_poly_A",
     "product_char_poly_L",
     "product_char_poly_Q",
@@ -241,11 +240,6 @@ class IntPolynomial:
             return "0"
         return " ".join(str(c) for c in self._c)
 
-    @classmethod
-    def from_line(cls, line: str) -> "IntPolynomial":
-        parts = line.split()
-        return cls(int(p) for p in parts)
-
     # -- value semantics ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -409,11 +403,6 @@ def coronal(matrix, mu) -> Coronal:
 def graph_coronal(g: SignedGraph, which: str = "A") -> Coronal:
     """Coronal of a signed graph's A/L/Q matrix under canonical marking."""
     return coronal(g.matrix(which), canonical_marking(g))
-
-
-def shifted_coronal(c: Coronal) -> Coronal:
-    """Substitute x -> x - 1 throughout (shift preserves the reduced form)."""
-    return Coronal(c.numerator.taylor_shift(-1), c.denominator.taylor_shift(-1))
 
 
 # -- product characteristic polynomials --------------------------------------
@@ -675,12 +664,17 @@ def _fujiwara_bound(p: IntPolynomial) -> int:
     return 2 * r
 
 
+# Largest root bound integer_roots scans; a full scan stays well under a second
+_ROOT_SCAN_MAX = 1 << 20
+
+
 def integer_roots(p: IntPolynomial, bound: int | None = None):
     """Integer roots with multiplicity, plus the integer-root-free quotient.
 
     Candidates are divisors of the constant term (after stripping powers
     of x) up to the integer Fujiwara bound, or `bound` if smaller (finite
-    and nonnegative); each is removed by exact synthetic division.
+    and nonnegative); each is removed by exact synthetic division.  A
+    scan past 2**20 raises ValueError, as x - 10**30 would never end.
     Returns ({root: multiplicity}, remainder polynomial).
     """
     cap = _bound_limit(bound)
@@ -691,10 +685,14 @@ def integer_roots(p: IntPolynomial, bound: int | None = None):
     while q.coeff(0) == 0 and q.degree > 0:
         roots[0] = roots.get(0, 0) + 1
         q = q.exact_div(IntPolynomial.x())
-    for t in range(1, min(_fujiwara_bound(q), cap) + 1):
+    scan = min(_fujiwara_bound(q), cap)
+    if scan > _ROOT_SCAN_MAX:
+        raise ValueError(f"integer root scan to {scan} exceeds {_ROOT_SCAN_MAX}; "
+                         "pass a smaller bound")
+    for t in range(1, scan + 1):
+        if q.degree < 1:
+            break
         for r in (t, -t):
-            if q.degree < 1:
-                break
             if q.coeff(0) % t != 0:
                 continue
             while q.degree >= 1 and q(r) == 0:

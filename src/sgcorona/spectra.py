@@ -149,9 +149,9 @@ def integrality(g: SignedGraph) -> IntegralityResult:
     divisor-of-constant-term synthetic division exhausts its degree; no
     floating point is involved in the decision.
     """
-    p = char_poly(g.adjacency())
-    bound = max((sum(abs(x) for x in row) for row in g.adjacency()), default=0)
-    roots, rest = integer_roots(p, bound=bound)
+    a = g.adjacency()
+    bound = max((sum(abs(x) for x in row) for row in a), default=0)
+    roots, rest = integer_roots(char_poly(a), bound=bound)
     if rest.degree > 0:
         return IntegralityResult(False, None)
     vals: list[int] = []

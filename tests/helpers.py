@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
 
 from sgcorona import Marking, SignedGraph, complete_graph
@@ -22,6 +23,38 @@ def random_signed_graph(rng, n: int, p: float = 0.5) -> SignedGraph:
             if rng.random() < p:
                 edges.append((u, v, rng.choice((1, -1))))
     return SignedGraph(n, edges)
+
+
+def induced_subgraph(g: SignedGraph, vertices) -> SignedGraph:
+    """Subgraph on the given vertices, reindexed in the order supplied."""
+    index = {v: i for i, v in enumerate(vertices)}
+    if len(index) != len(vertices):
+        raise ValueError("duplicate vertices")
+    return SignedGraph(len(index), [(index[u], index[v], s) for u, v, s in g.edges()
+                                    if u in index and v in index])
+
+
+def connected_components(g: SignedGraph) -> list[list[int]]:
+    """Vertex sets of the connected components, each sorted, by lowest vertex."""
+    seen = [False] * g.n
+    comps = []
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp, queue = [root], deque([root])
+        while queue:
+            for v, _ in g.neighbors(queue.popleft()):
+                if not seen[v]:
+                    seen[v] = True
+                    comp.append(v)
+                    queue.append(v)
+        comps.append(sorted(comp))
+    return comps
+
+
+def disjoint_union(a: SignedGraph, b: SignedGraph) -> SignedGraph:
+    return SignedGraph(a.n + b.n, a.edges() + [(u + a.n, v + a.n, s) for u, v, s in b.edges()])
 
 
 def random_marking(rng, n: int) -> Marking:

@@ -16,12 +16,10 @@ from sgcorona import (
     canonical_marking,
     char_poly,
     complete_graph,
-    connected_components,
     corollary_coregular_spectrum,
     corollary_star_spectrum,
     count_signs,
     cycle_graph,
-    disjoint_union,
     duplication,
     edge_stats_formula,
     empty_graph,
@@ -30,7 +28,6 @@ from sgcorona import (
     equienergetic_product_pair,
     equienergetic_search,
     graph_coronal,
-    induced_subgraph,
     integrality,
     is_balanced,
     jacobi_eigh,
@@ -50,6 +47,9 @@ from sgcorona import (
 )
 from helpers import (
     all_signings,
+    connected_components,
+    disjoint_union,
+    induced_subgraph,
     max_spectral_diff,
     random_balanced_graph,
     random_signed_graph,

@@ -22,7 +22,6 @@ from sgcorona import (
     canonical_marking,
     char_poly,
     complete_graph,
-    connected_components,
     coronal_pair,
     corollary_coregular_spectrum,
     corollary_star_spectrum,
@@ -34,7 +33,6 @@ from sgcorona import (
     energy,
     equienergetic_product_pair,
     equienergetic_search,
-    induced_subgraph,
     graph_coronal,
     integrality,
     is_balanced,
@@ -55,6 +53,8 @@ from sgcorona._atlas import connected_graphs
 from sgcorona.spectra import _ATLAS_MAX_N, _spectral_keys
 from helpers import (
     all_signings,
+    connected_components,
+    induced_subgraph,
     known_admissible_pair,
     max_spectral_diff,
     random_balanced_graph,
