@@ -101,10 +101,13 @@ def parse_graph(text: str) -> SignedGraph:
 
 
 def write_graph(g: SignedGraph, extra_comments: list[str] | None = None) -> str:
-    """Canonical text form: header, optional comments, edges sorted, 1-indexed."""
+    """Canonical text form: header, one-line comments, edges sorted, 1-indexed."""
     lines = [f"sg {g.n}"]
     for comment in extra_comments or ():
-        lines.append(f"# {comment}")
+        line = f"# {comment}"
+        if line.splitlines() != [line]:
+            raise ValueError(f"comment must not contain a line break: {comment!r}")
+        lines.append(line)
     for u, v, s in g.edges():
         lines.append(f"e {u + 1} {v + 1} {_SIGN_CHARS[s]}")
     return "\n".join(lines) + "\n"

@@ -104,6 +104,15 @@ def _vertex_count(value, what: str = "vertex count") -> int:
     return n
 
 
+def _check_product_order(g1, g2) -> None:
+    """Raise ValueError if a corona product of g1 and g2, of order
+    n1 * (n2 + 2), would exceed MAX_VERTICES; callers check before they
+    allocate anything of the product's size."""
+    total = g1.n * (g2.n + 2)
+    if total > MAX_VERTICES:
+        raise ValueError(f"product order {g1.n} * ({g2.n} + 2) = {total} exceeds {MAX_VERTICES}")
+
+
 class SignedGraph:
     """Immutable simple undirected graph with edge signs in {+1, -1}.
 

@@ -8,12 +8,12 @@ with f = det(xI - M).  All arithmetic is over Python's arbitrary-precision
 integers: coefficient growth at the scales handled here is modest but
 fixed-width overflow would be silent, so big integers are mandatory.
 
-Also here: primitive-Euclidean polynomial gcd, Yun squarefree
-decomposition, real roots (the exact eigenvalue oracle: Sturm isolation
-on Fractions, integer dyadic bisection), and the one product char-poly
-identity behind the A, L and Q matrices of the duplication add-vertex
-corona, denominator-cleared by Horner's rule, the first factor entering
-only through its graph.
+Also here: one pseudo-remainder sequence for both gcds and Sturm chains,
+Yun squarefree decomposition, real roots (the exact eigenvalue oracle:
+Sturm isolation on Fractions, integer dyadic bisection), and the one
+product char-poly identity behind the A, L and Q matrices of the
+duplication add-vertex corona, denominator-cleared by Horner's rule, the
+first factor entering only through its graph.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .core import SignedGraph, _as_int, canonical_marking, regularity
+from .core import (MAX_VERTICES, SignedGraph, _as_int, _check_product_order,
+                   canonical_marking, regularity)
 
 __all__ = [
     "IntPolynomial",
@@ -40,6 +41,12 @@ __all__ = [
     "real_roots",
     "integer_roots",
 ]
+
+
+# Largest degree `**` builds: the char poly of any graph the package
+# accepts, corona products included, has degree at most MAX_VERTICES, and
+# x ** 10**9 would otherwise allocate a billion coefficients.
+_MAX_POWER_DEGREE = MAX_VERTICES
 
 
 class IntPolynomial:
@@ -69,6 +76,8 @@ class IntPolynomial:
 
     @classmethod
     def monomial(cls, degree: int, coefficient: int = 1) -> "IntPolynomial":
+        if degree < 0:
+            raise ValueError(f"monomial degree must be nonnegative, got {degree}")
         return cls((0,) * degree + (coefficient,))
 
     # -- basic queries ----------------------------------------------------
@@ -152,14 +161,16 @@ class IntPolynomial:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power")
-        result = IntPolynomial.one()
-        base = self
-        while k:
+        if self.degree * k > _MAX_POWER_DEGREE:
+            raise ValueError(f"power degree {self.degree} * {k} exceeds {_MAX_POWER_DEGREE}")
+        result, base = IntPolynomial.one(), self
+        while True:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def __call__(self, x):
         """Horner evaluation; works for int, float, or Fraction inputs."""
@@ -170,14 +181,6 @@ class IntPolynomial:
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(tuple(i * c for i, c in enumerate(self._c) if i > 0))
-
-    def taylor_shift(self, a: int) -> "IntPolynomial":
-        """The polynomial p(x + a)."""
-        acc = IntPolynomial()
-        shift = IntPolynomial((a, 1))
-        for c in reversed(self._c):
-            acc = acc * shift + c
-        return acc
 
     # -- integer-content helpers -------------------------------------------
 
@@ -255,25 +258,6 @@ class IntPolynomial:
     def __repr__(self) -> str:
         return f"IntPolynomial({self._c!r})"
 
-    def __str__(self) -> str:
-        if not self._c:
-            return "0"
-        parts = []
-        for i in range(len(self._c) - 1, -1, -1):
-            c = self._c[i]
-            if c == 0:
-                continue
-            if i == 0:
-                term = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                term = f"{mag}x" if i == 1 else f"{mag}x^{i}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + term)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + term)
-        return " ".join(parts)
-
 
 # -- gcd machinery -------------------------------------------------------
 
@@ -296,26 +280,34 @@ def pseudo_rem(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     return r
 
 
+def _remainder_sequence(f: IntPolynomial, g: IntPolynomial):
+    """Yield f, g and each negated pseudo-remainder of the previous two,
+    up to the last nonzero term; deg f >= deg g.
+
+    Each remainder is rescaled by a positive rational only, so the sign
+    variations are those of the classical Sturm chain when g = f'.
+    """
+    yield f
+    while not g.is_zero:
+        yield g
+        r = pseudo_rem(f, g)
+        # pseudo_rem scales f by lc(g)^(deg f - deg g + 1); undo a negative scale's sign flip.
+        if g.leading < 0 and (f.degree - g.degree) % 2 == 0:
+            r = -r
+        f, g = g, (-r).divide_content()
+
+
 def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd via the primitive-part Euclidean remainder sequence.
+    """Primitive gcd: the primitive part of the remainder sequence's last term.
 
     The result is primitive with positive leading coefficient; constants
     collapse to 1.  Integer content of the inputs is deliberately not
     carried into the result.
     """
-    a, b = f.primitive_part(), g.primitive_part()
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    if a.degree < b.degree:
-        a, b = b, a
-    while not b.is_zero:
-        r = pseudo_rem(a, b).primitive_part()
-        a, b = b, r
-    if a.degree == 0:
-        return IntPolynomial.one()
-    return a
+    if f.degree < g.degree:
+        f, g = g, f
+    *_, last = _remainder_sequence(f, g)
+    return IntPolynomial.one() if last.degree == 0 else last.primitive_part()
 
 
 # -- matrices (exact, list-of-rows) ----------------------------------------
@@ -440,19 +432,22 @@ def _cleared_identity(
 def _product_char_poly(g1: SignedGraph, g2: SignedGraph, which: str) -> IntPolynomial:
     """The cleared identity for the A, L or Q matrix of g1 (*) g2.
 
-    (p, f) is the unreduced coronal pair of g2's matrix under its
-    canonical marking, taken at x - s.  A has r = d = s = 0; L and Q need
-    g1 regular of degree r1 and have r = r1, d = n2, s = 1.
+    (p, f) is the unreduced coronal pair, under g2's canonical marking,
+    of a copy's block M(g2) + sI.  A has r = d = s = 0; L and Q need g1
+    regular of degree r1 and have r = r1, d = n2, s = 1, as each copy
+    vertex has one more edge, to its anchor.
     """
+    _check_product_order(g1, g2)
     r = d = s = 0
     if which != "A":
         r, d, s = regularity(g1).degree_regular, g2.n, 1
         if r is None:
             raise ValueError("first factor must be degree-regular for L and Q")
-    p, f = coronal_pair(g2.matrix(which), canonical_marking(g2))
-    return _cleared_identity(
-        _mu_square_charpoly(g1), p.taylor_shift(-s), f.taylor_shift(-s), g1.n, r, d
-    )
+    block = g2.matrix(which)
+    for i, row in enumerate(block):
+        row[i] += s
+    p, f = coronal_pair(block, canonical_marking(g2))
+    return _cleared_identity(_mu_square_charpoly(g1), p, f, g1.n, r, d)
 
 
 def product_char_poly_A(g1: SignedGraph, g2: SignedGraph) -> IntPolynomial:
@@ -469,9 +464,9 @@ def product_char_poly_A(g1: SignedGraph, g2: SignedGraph) -> IntPolynomial:
 def product_char_poly_L(g1: SignedGraph, g2: SignedGraph) -> IntPolynomial:
     """Laplacian characteristic polynomial of the corona; g1 must be regular.
 
-    The adjacency identity with the x -> x-1 shifted Laplacian pair
-    (pL, fL) of g2 and u = (x - r1)((x - r1 - n2) fL(x-1) - pL(x-1)),
-    r1 the degree of g1; an irregular g1 raises ValueError.
+    The adjacency identity with the coronal pair (pL, fL) of the copy
+    block L(g2) + I and u = (x - r1)((x - r1 - n2) fL - pL), r1 the
+    degree of g1; an irregular g1 raises ValueError.
     """
     return _product_char_poly(g1, g2, "L")
 
@@ -512,23 +507,10 @@ def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]
 
 
 def _sturm_chain(q: IntPolynomial) -> list[IntPolynomial]:
-    """Sturm sequence of a squarefree polynomial, integer-scaled.
-
-    Each term is the negated remainder of the previous two, rescaled by a
-    positive rational only, so the sign variations are those of the
-    classical chain.
-    """
-    chain = [q, q.derivative()]
-    while chain[-1].degree > 0:
-        f, g = chain[-2], chain[-1]
-        r = pseudo_rem(f, g)
-        if r.is_zero:
-            raise ValueError("Sturm chain hit a zero remainder; input not squarefree")
-        # pseudo_rem scales f by lc(g)^steps; undo a negative scale's sign flip.
-        steps = f.degree - g.degree + 1
-        if g.leading < 0 and steps % 2 == 1:
-            r = -r
-        chain.append((-r).divide_content())
+    """Sturm sequence of a squarefree polynomial: the remainder sequence of (q, q')."""
+    chain = list(_remainder_sequence(q, q.derivative()))
+    if chain[-1].degree > 0:
+        raise ValueError("Sturm chain hit a zero remainder; input not squarefree")
     return chain
 
 
@@ -599,26 +581,26 @@ def _refine_root(q: IntPolynomial, a: Fraction, b: Fraction, width: Fraction) ->
     return Fraction(2 * lo + span, 1 << (k + 1))
 
 
-def real_roots(p: IntPolynomial, bound: int | None = None, tol: float = 1e-11) -> list[float]:
-    """All real roots of p with multiplicity, ascending, to within tol.
+# Bracket width every real root is refined to, exactly, before rounding
+_ROOT_WIDTH = Fraction(1, 10 ** 11)
+
+
+def real_roots(p: IntPolynomial, bound: int | None = None) -> list[float]:
+    """All real roots of p with multiplicity, ascending, to within 1e-11.
 
     Roots are isolated exactly (Yun squarefree split, Sturm bisection on
-    Fractions), refined to tol by integer dyadic bisection, and only then
-    rounded to float.  `bound` may give a finite nonnegative bound on |root|
-    to keep the search window small; otherwise the Fujiwara bound is used.
-    tol must be finite and at least about 5e-16 (rationals with denominator
-    up to 10^15 carry the bracket width); anything else raises ValueError.
+    Fractions), refined to `_ROOT_WIDTH` by integer dyadic bisection, and
+    only then rounded to float.  `bound` may give a finite nonnegative
+    bound on |root| to keep the search window small; otherwise the
+    Fujiwara bound is used.
     """
     cap = _bound_limit(bound)
     if p.is_zero:
         raise ValueError("zero polynomial has every number as a root")
-    width = Fraction(tol).limit_denominator(10 ** 15) if 0 < tol < float("inf") else 0
-    if width == 0:
-        raise ValueError(f"tol must be finite and at least about 5e-16, got {tol!r}")
     roots: list[float] = []
     for factor, mult in squarefree_decomposition(p):
         for a, c in _isolate_squarefree(factor, min(_fujiwara_bound(factor) + 1, cap)):
-            r = float(_refine_root(factor, a, c, width))
+            r = float(_refine_root(factor, a, c, _ROOT_WIDTH))
             roots.extend([r] * mult)
     roots.sort()
     return roots

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Marking, SignedGraph, canonical_marking, relabel
+from .core import Marking, SignedGraph, _check_product_order, canonical_marking, relabel
 
 __all__ = [
     "ProductLayout",
@@ -82,6 +82,7 @@ def duplication(g: SignedGraph) -> SignedGraph:
 
 
 def _corona(g1: SignedGraph, g2: SignedGraph, join_at_a: bool):
+    _check_product_order(g1, g2)
     lay = ProductLayout(g1.n, g2.n)
     mu1 = canonical_marking(g1)
     mu2 = canonical_marking(g2)

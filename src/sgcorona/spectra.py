@@ -18,6 +18,8 @@ from ._atlas import connected_graphs
 from .core import (
     SignedGraph,
     _as_int,
+    _check_product_order,
+    _vertex_count,
     canonical_marking,
     is_balanced,
     regularity,
@@ -182,6 +184,7 @@ def product_spectrum(g1: SignedGraph, g2: SignedGraph) -> Spectrum:
     D = diag(mu1), as g1_mu is balanced) and one batched one of the blocks.
     Exact for every pair of factors, including empty ones.
     """
+    _check_product_order(g1, g2)
     n2 = g2.n
     t = eig_sym([[abs(v) for v in row] for row in g1.adjacency()]).values
     b = np.zeros((n2 + 2, n2 + 2))
@@ -228,7 +231,7 @@ def corollary_star_spectrum(g1: SignedGraph, n2: int, center_mark: int) -> Spect
     """
     if center_mark not in (1, -1):
         raise ValueError("center mark must be +1 or -1")
-    if _as_int(n2, "leaf count") < 1:
+    if _vertex_count(n2, "leaf count") < 1:
         raise ValueError("star needs at least one leaf")
     if not is_balanced(g1):
         raise ValueError("first factor must be balanced for the star corollary")

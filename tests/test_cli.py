@@ -64,6 +64,17 @@ def test_round_trip_is_identity():
         assert write_graph(parse_graph(text)) == text
 
 
+def test_write_graph_refuses_a_comment_with_a_line_break():
+    # "a\nb" used to be written as two lines, and the second failed to parse
+    g = path_graph(2)
+    for bad in ("a\nb", "a\r\nb", "a\rb", "trailing\n", "a\x0bb", "a\u2028b"):
+        with pytest.raises(ValueError, match="line break"):
+            write_graph(g, [bad])
+    text = write_graph(g, ["a comment", ""])
+    assert parse_graph(text) == g
+    assert text.splitlines()[1:3] == ["# a comment", "# "]
+
+
 # -- subcommands -----------------------------------------------------------------
 
 

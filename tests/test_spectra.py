@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgcorona import (
+    MAX_VERTICES,
     IntPolynomial,
     Marking,
     PreconditionError,
@@ -40,6 +41,8 @@ from sgcorona import (
     mu_signed_graph,
     path_graph,
     product_char_poly_A,
+    product_char_poly_L,
+    product_char_poly_Q,
     product_spectrum,
     real_roots,
     regularity,
@@ -298,11 +301,26 @@ def test_star_char_poly_closed_form():
         assert char_poly(prod.adjacency()) == x ** (n1 * (n2 - 1)) * quartics
 
 
+def test_product_order_is_checked_before_allocation():
+    # 64 * (64 + 2) = 4224 > MAX_VERTICES; product_spectrum used to return
+    # 4224 values, after allocating n1 * (n2 + 2)^2 floats unchecked
+    g = empty_graph(64)
+    for f in (product_spectrum, corollary_coregular_spectrum, product_char_poly_A,
+              product_char_poly_L, product_char_poly_Q):
+        with pytest.raises(ValueError, match="product order"):
+            f(g, g)
+    assert len(product_spectrum(g, empty_graph(62))) == MAX_VERTICES
+
+
 def test_star_rejects_unbalanced_first_factor():
     with pytest.raises(ValueError):
         corollary_star_spectrum(cycle_graph(3, -1), 2, 1)
     with pytest.raises(ValueError):
         corollary_star_spectrum(empty_graph(1), 2, 0)
+    # the leaf signs were listed before any size check: 10**18 raised MemoryError
+    for n2 in (10 ** 18, MAX_VERTICES + 1):
+        with pytest.raises(ValueError, match="leaf count"):
+            corollary_star_spectrum(path_graph(2), n2, 1)
 
 
 # -- cospectrality -----------------------------------------------------------------
