@@ -43,9 +43,10 @@ __all__ = [
 ]
 
 
-# Largest degree `**` builds: the char poly of any graph the package
-# accepts, corona products included, has degree at most MAX_VERTICES, and
-# x ** 10**9 would otherwise allocate a billion coefficients.
+# Largest degree, and largest exponent, `**` takes: the char poly of any
+# graph the package accepts, corona products included, has degree at most
+# MAX_VERTICES; x ** 10**9 would allocate a billion coefficients, and
+# 2 ** 10**12 a 125 GB coefficient.
 _MAX_POWER_DEGREE = MAX_VERTICES
 
 
@@ -161,8 +162,8 @@ class IntPolynomial:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power")
-        if self.degree * k > _MAX_POWER_DEGREE:
-            raise ValueError(f"power degree {self.degree} * {k} exceeds {_MAX_POWER_DEGREE}")
+        if max(self.degree, 1) * k > _MAX_POWER_DEGREE:
+            raise ValueError(f"power {k} of degree {self.degree} exceeds {_MAX_POWER_DEGREE}")
         result, base = IntPolynomial.one(), self
         while True:
             if k & 1:

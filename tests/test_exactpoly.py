@@ -121,6 +121,19 @@ def test_polynomial_power(monkeypatch):
         assert len(calls) == k.bit_length() + bin(k).count("1") - 1
 
 
+def test_power_of_a_constant_is_bounded_too():
+    # the degree bound alone let a constant base through: 2 ** 10**6 built a
+    # million-bit coefficient, and 2 ** 10**12 would need about 125 GB
+    assert poly(-2) ** _MAX_POWER_DEGREE == poly((-2) ** _MAX_POWER_DEGREE)
+    assert IntPolynomial() ** 0 == IntPolynomial.one()
+    start = time.perf_counter()
+    for base in (poly(2), poly(1), IntPolynomial()):
+        for k in (_MAX_POWER_DEGREE + 1, 10 ** 6, 10 ** 12):
+            with pytest.raises(ValueError, match="exceeds"):
+                base ** k
+    assert time.perf_counter() - start < 1.0
+
+
 def test_monomial_rejects_a_negative_degree():
     assert IntPolynomial.monomial(0, 5) == poly(5)
     assert IntPolynomial.monomial(2, -3) == poly(0, 0, -3)

@@ -40,6 +40,7 @@ from sgcorona import (
     jacobi_eigh,
     mu_signed_graph,
     path_graph,
+    poly_gcd,
     product_char_poly_A,
     product_char_poly_L,
     product_char_poly_Q,
@@ -509,6 +510,54 @@ def test_equienergetic_rejects_empty_first_factor():
     with pytest.raises(PreconditionError) as info:
         equienergetic_product_pair(empty_graph(0), *known_admissible_pair())
     assert info.value.violations == ["empty first factor"]
+
+
+# first factors of order 1 to 5 for the split oracles
+SPLIT_FIRST_FACTORS = (empty_graph(1), path_graph(2, -1), cycle_graph(3, [1, -1, 1]),
+                       star_graph(3, [1, -1, -1]), cycle_graph(5, [1, 1, -1, 1, -1]))
+
+
+@pytest.fixture(scope="module")
+def all_pairs():
+    pairs = equienergetic_search(max_n=6, find_all=True)
+    assert len(pairs) == 28
+    return pairs
+
+
+def test_equienergetic_split_exact(all_pairs):
+    # with c = gcd(p, f) of h's unreduced coronal pair, the product identity
+    # of g (*) h is c^n1 * S, S shared by equal reduced coronals; so
+    # A1 c2^n1 = A2 c1^n1, and the products differ as f1 != f2
+    for h1, h2 in all_pairs:
+        c1, c2 = (poly_gcd(*coronal_pair(h.adjacency(), canonical_marking(h)))
+                  for h in (h1, h2))
+        for g in SPLIT_FIRST_FACTORS:
+            a1, a2 = product_char_poly_A(g, h1), product_char_poly_A(g, h2)
+            assert a1 != a2
+            assert a1 * c2 ** g.n == a2 * c1 ** g.n
+
+
+def test_equienergetic_energy_gap_identity(all_pairs):
+    # the split gives E(g (*) h1) - E(g (*) h2) = n1 (E(h1) - E(h2)) exactly
+    for h1, h2 in all_pairs:
+        factor_gap = energy(h1).energy - energy(h2).energy
+        for g in SPLIT_FIRST_FACTORS:
+            e1, e2 = (sum(abs(v) for v in product_spectrum(g, h)) for h in (h1, h2))
+            assert abs((e1 - e2) - g.n * factor_gap) <= 1e-12
+
+
+def test_equienergetic_at_the_order_limit():
+    # a 512-vertex first factor with an order-6 pair gives products of order
+    # 512 * 8 = MAX_VERTICES; the certificate never builds a char poly of order n1
+    g = SignedGraph(512, [(u, (u + d) % 512, -1 if u % 3 == 0 and d == 1 else 1)
+                          for u in range(512) for d in (1, 2)])
+    assert regularity(g).degree_regular == 4
+    start = time.perf_counter()
+    p1, p2, report = equienergetic_product_pair(g, *known_admissible_pair())
+    assert time.perf_counter() - start < 30.0
+    assert p1.n == p2.n == MAX_VERTICES
+    assert report.energy_gap <= 1e-6
+    assert not report.products_cospectral
 
 
 # -- cross-checks against the exact root oracle ---------------------------------------
