@@ -27,7 +27,6 @@ from .exactpoly import (
     coronal,
     coronal_pair,
     graph_coronal,
-    integer_roots,
     poly_gcd,
     product_char_poly_A,
     product_char_poly_L,

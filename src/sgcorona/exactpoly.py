@@ -39,7 +39,6 @@ __all__ = [
     "poly_gcd",
     "squarefree_decomposition",
     "real_roots",
-    "integer_roots",
 ]
 
 
@@ -646,39 +645,3 @@ def _fujiwara_bound(p: IntPolynomial) -> int:
         r = max(r, _ceil_root(-(-a // lead), k))
     return 2 * r
 
-
-# Largest root bound integer_roots scans; a full scan stays well under a second
-_ROOT_SCAN_MAX = 1 << 20
-
-
-def integer_roots(p: IntPolynomial, bound: int | None = None):
-    """Integer roots with multiplicity, plus the integer-root-free quotient.
-
-    Candidates are divisors of the constant term (after stripping powers
-    of x) up to the integer Fujiwara bound, or `bound` if smaller (finite
-    and nonnegative); each is removed by exact synthetic division.  A
-    scan past 2**20 raises ValueError, as x - 10**30 would never end.
-    Returns ({root: multiplicity}, remainder polynomial).
-    """
-    cap = _bound_limit(bound)
-    if p.is_zero:
-        raise ValueError("zero polynomial has every integer as a root")
-    roots: dict[int, int] = {}
-    q = p
-    while q.coeff(0) == 0 and q.degree > 0:
-        roots[0] = roots.get(0, 0) + 1
-        q = q.exact_div(IntPolynomial.x())
-    scan = min(_fujiwara_bound(q), cap)
-    if scan > _ROOT_SCAN_MAX:
-        raise ValueError(f"integer root scan to {scan} exceeds {_ROOT_SCAN_MAX}; "
-                         "pass a smaller bound")
-    for t in range(1, scan + 1):
-        if q.degree < 1:
-            break
-        for r in (t, -t):
-            if q.coeff(0) % t != 0:
-                continue
-            while q.degree >= 1 and q(r) == 0:
-                roots[r] = roots.get(r, 0) + 1
-                q = q.exact_div(IntPolynomial((-r, 1)))
-    return roots, q

@@ -134,6 +134,41 @@ def bareiss_det(matrix) -> int:
     return int(det)
 
 
+def _fraction_rank(m: list[list[Fraction]]) -> int:
+    """Rank of a Fraction matrix by Gaussian elimination; m is overwritten."""
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot_row = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        for r in range(rank + 1, len(m)):
+            factor = m[r][col] / m[rank][col]
+            if factor:
+                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def integer_spectrum_by_nullity(matrix) -> tuple[int, ...] | None:
+    """Eigenvalues of a symmetric integer matrix, descending, if all are integers.
+
+    Independent oracle for integrality: A is diagonalisable, so an
+    integer k is an eigenvalue of multiplicity n - rank(A - kI), and every
+    eigenvalue lies in [-D, D] with D the largest absolute row sum.  The
+    matrix is integral iff these multiplicities add up to n; otherwise
+    None.  Ranks come from exact Fraction elimination.
+    """
+    n = len(matrix)
+    bound = max((sum(abs(x) for x in row) for row in matrix), default=0)
+    values: list[int] = []
+    for k in range(bound, -bound - 1, -1):
+        shifted = [[Fraction(x - k * (i == j)) for j, x in enumerate(row)]
+                   for i, row in enumerate(matrix)]
+        values += [k] * (n - _fraction_rank(shifted))
+    return tuple(values) if len(values) == n else None
+
+
 def max_spectral_diff(a, b) -> float:
     """Largest elementwise gap between two descending spectra."""
     if len(a) != len(b):

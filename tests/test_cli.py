@@ -49,6 +49,15 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(GraphFormatError) as info:
         parse_graph("sg 2\ne 1 2 *\n")
     assert "sign" in str(info.value)
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph("sg x\n")
+    assert info.value.line == 1 and "not an integer" in str(info.value)
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph("sg 2\ne 1 2\n")
+    assert info.value.line == 2 and "expected edge" in str(info.value)
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph("sg 2\ne a 2 +\n")
+    assert info.value.line == 2 and "endpoints must be integers" in str(info.value)
     with pytest.raises(GraphFormatError):
         parse_graph("graph 2\n")
     with pytest.raises(GraphFormatError):
@@ -196,6 +205,17 @@ def test_equienergetic_command_rejection(tmp_path, capsys):
     c3n = graph_file(tmp_path, "c3n.sg", "sg 3\ne 1 2 -\ne 2 3 -\ne 3 1 -\n")
     assert main(["equienergetic", p2, c3, c3n]) == 1
     assert "rejected: coronal mismatch" in capsys.readouterr().out
+
+
+def test_equienergetic_command_pass(tmp_path, capsys):
+    g = graph_file(tmp_path, "p2n.sg", P2_NEG)
+    h1, h2 = (graph_file(tmp_path, f"h{i}.sg", write_graph(h))
+              for i, h in enumerate(known_admissible_pair()))
+    assert main(["equienergetic", g, h1, h2]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["E1 29.0922914523", "E2 29.0922914523"]
+    assert lines[2].startswith("gap ")
+    assert lines[3:] == ["non-cospectral: True", "PASS"]
 
 
 def test_equienergetic_command_rejects_empty_first_factor(tmp_path, capsys):

@@ -21,8 +21,6 @@ from sgcorona import (
     cycle_graph,
     empty_graph,
     graph_coronal,
-    integer_roots,
-    integrality,
     is_balanced,
     mu_signed_graph,
     path_graph,
@@ -517,11 +515,8 @@ def test_root_finders_reject_negative_or_infinite_bound():
     for bad in (-1, -5, -0.5, math.inf, math.nan):
         with pytest.raises(ValueError, match="bound"):
             real_roots(poly(-2, 0, 1), bound=bad)
-        with pytest.raises(ValueError, match="bound"):
-            integer_roots(poly(-4, 0, 1), bound=bad)
     assert time.perf_counter() - start < 1.0
     assert real_roots(poly(0, 0, 1), bound=0) == [0.0, 0.0]
-    assert integer_roots(poly(-4, 0, 1), bound=2)[0] == {2: 1, -2: 1}
 
 
 # 2^-20 is dyadic, so a bracket width can equal it exactly
@@ -558,48 +553,6 @@ def test_refine_root_pinned_cases():
     assert abs(_refine_root(poly(3, 2), Fraction(-4), Fraction(-5, 4), width) + 1.5) <= width
     assert abs(_refine_root(poly(-2, 0, 1), Fraction(-3), Fraction(-7, 8), width)
                + math.sqrt(2)) < 1e-11
-
-
-def test_integer_roots():
-    roots, rest = integer_roots(poly(-2, -3, 0, 1))
-    assert roots == {2: 1, -1: 2}
-    assert rest == poly(1)
-    roots, rest = integer_roots(poly(0, -2, 0, 1))
-    assert roots == {0: 1}
-    assert rest == poly(-2, 0, 1)
-
-
-def test_integer_roots_rejects_a_scan_past_the_limit():
-    # x - 10**30 would take the trial scan past any useful time
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="exceeds"):
-        integer_roots(poly(-10 ** 30, 1))
-    with pytest.raises(ValueError, match="exceeds"):
-        integer_roots(poly(-10 ** 7, 1), bound=10 ** 8)
-    assert time.perf_counter() - start < 1.0
-    # a smaller bound keeps the scan short; the root above it stays in the rest
-    assert integer_roots(poly(-10 ** 30, 1), bound=10) == ({}, poly(-10 ** 30, 1))
-
-
-def test_integer_roots_without_bound_is_fast():
-    # the root bound must follow the spectral radius (about 30 here), not
-    # the coefficients (the Cauchy bound is ~1e14 for a random 30-vertex
-    # graph), and agree with integrality's row-sum-bounded scan
-    rng = random.Random(30)
-    graphs = [random_signed_graph(rng, 30), complete_graph(30),
-              complete_graph(30, [rng.choice((1, -1)) for _ in range(435)])]
-    for g in graphs:
-        p = char_poly(g.adjacency())
-        start = time.perf_counter()
-        roots, rest = integer_roots(p)
-        assert time.perf_counter() - start < 1.0
-        assert (roots, rest) == integer_roots(p, bound=29)
-        result = integrality(g)
-        assert result.integral == (rest.degree == 0)
-        if result.integral:
-            assert sorted(result.eigenvalues) == sorted(
-                r for r, mult in roots.items() for _ in range(mult))
-    assert integer_roots(char_poly(complete_graph(30).adjacency()))[0] == {29: 1, -1: 29}
 
 
 def test_coronal_catalog_co_regular():

@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 import time
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +59,7 @@ from helpers import (
     all_signings,
     connected_components,
     induced_subgraph,
+    integer_spectrum_by_nullity,
     known_admissible_pair,
     max_spectral_diff,
     random_balanced_graph,
@@ -190,6 +191,39 @@ def test_integrality_examples():
     assert not integrality(star_graph(2)).integral
     r = integrality(empty_graph(1))
     assert r.integral and r.eigenvalues == (0,)
+
+
+def test_integrality_matches_the_nullity_oracle():
+    # every signed graph on at most 4 labelled vertices (1 + 1 + 3 + 27 + 729),
+    # then random ones of order 5-7; the oracle shares no code with integrality
+    graphs = []
+    for n in range(5):
+        pairs = list(combinations(range(n), 2))
+        for signs in product((0, 1, -1), repeat=len(pairs)):
+            graphs.append(SignedGraph(n, [(u, v, s) for (u, v), s in zip(pairs, signs) if s]))
+    assert len(graphs) == 761
+    rng = random.Random(46)
+    graphs += [random_signed_graph(rng, rng.randint(5, 7)) for _ in range(200)]
+    for g in graphs:
+        want = integer_spectrum_by_nullity(g.adjacency())
+        got = integrality(g)
+        assert (got.integral, got.eigenvalues) == (want is not None, want), g.edges()
+    # P3 rounds to (1, 0, -1), but its spectrum is sqrt(2), 0, -sqrt(2)
+    assert integer_spectrum_by_nullity(path_graph(3).adjacency()) is None
+
+
+def test_integrality_at_order_30():
+    # the char-poly identity certifies the rounded spectrum at order 30 well within a second
+    rng = random.Random(30)
+    graphs = [random_signed_graph(rng, 30), complete_graph(30),
+              complete_graph(30, [rng.choice((1, -1)) for _ in range(435)])]
+    for g in graphs:
+        start = time.perf_counter()
+        result = integrality(g)
+        assert time.perf_counter() - start < 1.0
+        numeric = all(abs(v - round(v)) < 1e-7 for v in spectrum(g).values)
+        assert result.integral == numeric
+    assert integrality(complete_graph(30)).eigenvalues == (29,) + (-1,) * 29
 
 
 def test_integrality_agrees_with_numeric_check():
@@ -357,6 +391,13 @@ def test_equienergetic_rejects_coronal_mismatch():
     with pytest.raises(PreconditionError) as info:
         equienergetic_product_pair(path_graph(2), cycle_graph(3), cycle_graph(3, -1))
     assert any("coronal" in v for v in info.value.violations)
+
+
+def test_equienergetic_rejects_energy_mismatch():
+    # P3 has energy 2 sqrt(2) and K3 energy 4; their coronals differ too
+    with pytest.raises(PreconditionError) as info:
+        equienergetic_product_pair(path_graph(2), path_graph(3), complete_graph(3))
+    assert info.value.violations == ["coronal mismatch", "energy mismatch"]
 
 
 def test_equienergetic_rejects_order_mismatch():
