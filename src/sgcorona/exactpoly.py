@@ -8,12 +8,13 @@ with f = det(xI - M).  All arithmetic is over Python's arbitrary-precision
 integers: coefficient growth at the scales handled here is modest but
 fixed-width overflow would be silent, so big integers are mandatory.
 
-Also here: one pseudo-remainder sequence for both gcds and Sturm chains,
-Yun squarefree decomposition, real roots (the exact eigenvalue oracle:
-Sturm isolation on Fractions, integer dyadic bisection), and the one
-product char-poly identity behind the A, L and Q matrices of the
-duplication add-vertex corona, denominator-cleared by Horner's rule, the
-first factor entering only through its graph.
+Also here: one remainder sequence for both gcds and Sturm chains, whose
+terms are positive multiples of the true negated remainders (the sign
+matters: Sturm counts read it), Yun squarefree decomposition, real roots
+(the exact eigenvalue oracle: Sturm isolation on Fractions, integer
+dyadic bisection), and the one product char-poly identity behind the A,
+L and Q matrices of the duplication add-vertex corona, denominator-cleared
+by Horner's rule, the first factor entering only through its graph.
 """
 
 from __future__ import annotations
@@ -73,12 +74,6 @@ class IntPolynomial:
     @classmethod
     def x(cls) -> "IntPolynomial":
         return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, degree: int, coefficient: int = 1) -> "IntPolynomial":
-        if degree < 0:
-            raise ValueError(f"monomial degree must be nonnegative, got {degree}")
-        return cls((0,) * degree + (coefficient,))
 
     # -- basic queries ----------------------------------------------------
 
@@ -195,12 +190,8 @@ class IntPolynomial:
 
     def primitive_part(self) -> "IntPolynomial":
         """Divide out the content and normalize the leading coefficient positive."""
-        if not self._c:
-            return self
-        g = self.content()
-        if self._c[-1] < 0:
-            g = -g
-        return IntPolynomial(tuple(c // g for c in self._c))
+        p = self.divide_content()
+        return -p if self.leading < 0 else p
 
     def divide_content(self) -> "IntPolynomial":
         """Divide by the positive content, preserving the sign pattern."""
@@ -262,39 +253,26 @@ class IntPolynomial:
 # -- gcd machinery -------------------------------------------------------
 
 
-def pseudo_rem(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """Fraction-free remainder: lc(g)^(deg f - deg g + 1) * f  mod  g."""
-    if g.is_zero:
-        raise ZeroDivisionError("pseudo remainder by zero")
-    if f.is_zero or f.degree < g.degree:
-        return f
-    lead = g.leading
-    steps = f.degree - g.degree + 1
-    r = f
-    while not r.is_zero and r.degree >= g.degree:
-        shift = r.degree - g.degree
-        r = r * lead - IntPolynomial.monomial(shift, r.leading) * g
-        steps -= 1
-    if steps > 0:
-        r = r * (lead ** steps)
-    return r
-
-
 def _remainder_sequence(f: IntPolynomial, g: IntPolynomial):
-    """Yield f, g and each negated pseudo-remainder of the previous two,
-    up to the last nonzero term; deg f >= deg g.
+    """Yield f, g and minus each remainder of the two terms before it, times
+    a positive rational, up to the last nonzero term; deg f >= deg g.
 
-    Each remainder is rescaled by a positive rational only, so the sign
-    variations are those of the classical Sturm chain when g = f'.
+    The step r <- |lc(g)| r - sgn(lc(g)) lc(r) x^k g cancels r's leading
+    term and keeps r a positive multiple of f modulo g, so the signs are
+    those of the Sturm chain when g = f'.
     """
     yield f
     while not g.is_zero:
         yield g
-        r = pseudo_rem(f, g)
-        # pseudo_rem scales f by lc(g)^(deg f - deg g + 1); undo a negative scale's sign flip.
-        if g.leading < 0 and (f.degree - g.degree) % 2 == 0:
-            r = -r
-        f, g = g, (-r).divide_content()
+        *low, lead = g.coefficients
+        r = list(f.coefficients)
+        while len(r) > len(low):
+            top = r.pop() if lead > 0 else -r.pop()
+            if top:
+                r = [abs(lead) * v for v in r]
+                for j, v in enumerate(low, len(r) - len(low)):
+                    r[j] -= top * v
+        f, g = g, IntPolynomial(-v for v in r).divide_content()
 
 
 def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
@@ -506,14 +484,6 @@ def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]
     return out
 
 
-def _sturm_chain(q: IntPolynomial) -> list[IntPolynomial]:
-    """Sturm sequence of a squarefree polynomial: the remainder sequence of (q, q')."""
-    chain = list(_remainder_sequence(q, q.derivative()))
-    if chain[-1].degree > 0:
-        raise ValueError("Sturm chain hit a zero remainder; input not squarefree")
-    return chain
-
-
 def _variations(chain: list[IntPolynomial], x: Fraction) -> int:
     signs = []
     for p in chain:
@@ -531,9 +501,9 @@ def _isolate_squarefree(q: IntPolynomial, bound: int) -> list[tuple[Fraction, Fr
     when an endpoint is a root, so bisection needs no special case for
     a midpoint that is itself a root.
     """
-    if q.degree <= 0:
-        return []
-    chain = _sturm_chain(q)
+    chain = list(_remainder_sequence(q, q.derivative()))
+    if chain[-1].degree > 0:
+        raise ValueError("Sturm chain hit a zero remainder; input not squarefree")
     lo, hi = Fraction(-bound), Fraction(bound)
     out: list[tuple[Fraction, Fraction]] = []
     stack = [(lo, hi, _variations(chain, lo) - _variations(chain, hi))]

@@ -239,6 +239,8 @@ def corollary_star_spectrum(g1: SignedGraph, n2: int, center_mark: int) -> Spect
 # Largest energy difference the construction accepts and the search
 # chains, so that every pair the search returns passes the construction.
 _ENERGY_TOL = 1e-8
+# Largest energy gap of the constructed products, n1 * _ENERGY_TOL to n1 = 100
+_PRODUCT_GAP_TOL = 1e-6
 
 
 class PreconditionError(ValueError):
@@ -305,9 +307,10 @@ def equienergetic_product_pair(g: SignedGraph, h1: SignedGraph, h2: SignedGraph)
     prod2, _ = add_vertex_corona(g, h2)
     pe1, pe2 = (float(sum(abs(v) for v in product_spectrum(g, h))) for h in (h1, h2))
     gap = abs(pe1 - pe2)
-    if gap > 1e-6:
+    if gap > _PRODUCT_GAP_TOL:
+        tol = f"{_PRODUCT_GAP_TOL:.0e}".replace("e-0", "e-")  # 1e-6, not 1e-06
         raise RuntimeError(
-            "constructed products' energies differ by more than 1e-6; for n1 <= 100 this is a bug"
+            f"constructed products' energies differ by more than {tol}; for n1 <= 100 this is a bug"
         )
     return prod1, prod2, EquienergeticReport(pe1, pe2, gap, not distinct)
 

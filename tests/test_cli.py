@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from sgcorona import SignedGraph, cli, cycle_graph, path_graph
+from sgcorona import IntPolynomial, SignedGraph, cli, cycle_graph, path_graph
 from sgcorona.cli import GraphFormatError, main, parse_graph, write_graph
 from helpers import known_admissible_pair, random_signed_graph
 
@@ -167,6 +167,17 @@ def test_verify_command_pass(tmp_path, capsys):
     # monic degree-10 polynomial printed twice
     assert out[0] == out[1]
     assert out[0].split()[-1] == "1" and len(out[0].split()) == 11
+
+
+def test_verify_command_fail(tmp_path, capsys, monkeypatch):
+    # a wrong prediction prints both polynomials, then FAIL, and exits 1
+    monkeypatch.setattr(cli, "product_char_poly_A", lambda g1, g2: IntPolynomial.x())
+    p2 = graph_file(tmp_path, "p2.sg", P2)
+    c3 = graph_file(tmp_path, "c3.sg", C3)
+    assert main(["verify", "--theorem", "A", p2, c3]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 3 and out[-1] == "FAIL"
+    assert out[0] == "0 1" and out[1] != out[0]
 
 
 def test_verify_command_all_theorems(tmp_path, capsys):

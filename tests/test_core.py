@@ -276,6 +276,9 @@ def test_matrix_definitions():
             d = g.degree(i) if i == j else 0
             assert lap[i][j] == d - a[i][j]
             assert q[i][j] == d + a[i][j]
+    assert g.matrix("A") == a and g.matrix("L") == lap and g.matrix("Q") == q
+    with pytest.raises(ValueError, match="selector"):
+        g.matrix("X")
 
 
 def test_canonical_marking_examples():
@@ -316,6 +319,9 @@ def test_balance_examples():
     assert is_balanced(cycle_graph(3))
     assert not is_balanced(cycle_graph(3, -1))
     assert is_balanced(cycle_graph(3, [-1, -1, 1]))
+    # a BalanceResult is truthy iff the graph is balanced
+    assert bool(balance(cycle_graph(3))) is True
+    assert bool(balance(cycle_graph(3, -1))) is False
 
 
 def test_balance_witness_consistency():
@@ -358,6 +364,7 @@ def test_regularity_examples():
     rep = regularity(path_graph(3))
     assert rep.degree_regular is None
     assert rep.co_regular_pair is None
+    assert regularity(empty_graph(0)) == type(rep)(None, None, None)
 
 
 def test_balance_iff_zero_laplacian_eigenvalue_per_component():

@@ -41,7 +41,8 @@ from sgcorona.exactpoly import (
     _matmul,
     _mu_square_charpoly,
     _refine_root,
-    pseudo_rem,
+    _remainder_sequence,
+    _variations,
 )
 from helpers import (
     all_signings,
@@ -102,7 +103,7 @@ def test_polynomial_power(monkeypatch):
             assert p ** k == expected
             expected = expected * p
     assert poly(3) ** 100 == poly(3 ** 100)
-    assert X ** _MAX_POWER_DEGREE == IntPolynomial.monomial(_MAX_POWER_DEGREE)
+    assert X ** _MAX_POWER_DEGREE == IntPolynomial((0,) * _MAX_POWER_DEGREE + (1,))
     start = time.perf_counter()
     for k in (_MAX_POWER_DEGREE + 1, 10 ** 9):
         with pytest.raises(ValueError, match="degree"):
@@ -132,14 +133,6 @@ def test_power_of_a_constant_is_bounded_too():
     assert time.perf_counter() - start < 1.0
 
 
-def test_monomial_rejects_a_negative_degree():
-    assert IntPolynomial.monomial(0, 5) == poly(5)
-    assert IntPolynomial.monomial(2, -3) == poly(0, 0, -3)
-    # monomial(-1, 5) used to return the constant 5
-    with pytest.raises(ValueError, match="degree"):
-        IntPolynomial.monomial(-1, 5)
-
-
 def test_polynomial_eval_and_shift():
     f = poly(-2, -3, 0, 1)
     assert f(2) == 0 and f(-1) == 0 and f(0) == -2
@@ -155,24 +148,68 @@ def test_polynomial_serialization():
 def test_exact_div():
     f = poly(-1, 0, 1)  # x^2-1
     assert f.exact_div(poly(-1, 1)) == poly(1, 1)
-    with pytest.raises(ValueError):
-        f.exact_div(poly(1, 1, 1))
+    for divisor in (poly(1, 1, 1), poly(0, 0, 0, 1), poly(1, 2)):
+        # a nonzero remainder, a divisor of higher degree, and a leading
+        # coefficient 2 that does not divide the dividend's leading 1
+        with pytest.raises(ValueError, match="inexact"):
+            f.exact_div(divisor)
     with pytest.raises(ZeroDivisionError):
         f.exact_div(poly())
 
 
-def test_pseudo_rem_relation():
+def fraction_remainder(f, g):
+    """Remainder of f by g over the rationals, by long division on Fractions."""
+    r = [Fraction(c) for c in f.coefficients]
+    lead = g.leading
+    while len(r) > g.degree:
+        t = r.pop() / lead
+        for j, v in enumerate(g.coefficients[:-1], len(r) - g.degree):
+            r[j] -= t * v
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+# x^4 + 5x - 3 has two real roots and x^4 + 4x + 5 none; each Sturm chain
+# holds a term with a negative leading coefficient
+STURM_CASES = ((poly(-3, 5, 0, 0, 1), 2), (poly(5, 4, 0, 0, 1), 0))
+
+
+def sturm_chain(q):
+    return list(_remainder_sequence(q, q.derivative()))
+
+
+def test_remainder_sequence_terms_are_positive_multiples():
+    # every term after the second is -(remainder of the two before it)
+    # times one positive rational: Sturm counts depend on that sign
     rng = random.Random(31)
-    for _ in range(30):
-        f = IntPolynomial([rng.randint(-5, 5) for _ in range(rng.randint(1, 7))])
-        g = IntPolynomial([rng.randint(-5, 5) for _ in range(rng.randint(1, 5))])
-        if g.is_zero or f.degree < g.degree:
-            continue
-        r = pseudo_rem(f, g)
-        assert r.is_zero or r.degree < g.degree
-        # lc(g)^(deg f - deg g + 1) * f - r is divisible by g
-        scaled = f * (g.leading ** (f.degree - g.degree + 1)) - r
-        assert pseudo_rem(scaled, g).is_zero or scaled.is_zero
+    chains = [sturm_chain(q) for q, _ in STURM_CASES]
+    while len(chains) < 202:
+        f = IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(1, 9))])
+        g = IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(1, 7))])
+        if not g.is_zero and f.degree >= g.degree:
+            chains.append(list(_remainder_sequence(f, g)))
+    for chain in chains:
+        for f, g, term in zip(chain, chain[1:], chain[2:]):
+            want = [-c for c in fraction_remainder(f, g)]
+            assert len(want) == len(term.coefficients)
+            ratio = Fraction(term.leading) / want[-1]
+            assert ratio > 0
+            assert [ratio * c for c in want] == list(term.coefficients)
+        # the sequence stops at its last nonzero term
+        assert not chain[-1].is_zero
+        assert not fraction_remainder(chain[-2], chain[-1])
+
+
+def test_sturm_counts_through_negative_leading_terms():
+    # the counts come before real_roots: with a wrong sign, bisection on a
+    # miscounted interval need not terminate
+    for q, count in STURM_CASES:
+        chain = sturm_chain(q)
+        assert min(p.leading for p in chain) < 0
+        assert _variations(chain, Fraction(-100)) - _variations(chain, Fraction(100)) == count
+    for q, count in STURM_CASES:
+        assert len(real_roots(q)) == count
 
 
 def test_poly_gcd():
@@ -195,6 +232,8 @@ def test_char_poly_examples():
     assert char_poly([[0, 0], [0, 0]]) == poly(0, 0, 1)
     assert char_poly(path_graph(2, [-1]).adjacency()) == poly(-1, 0, 1)
     assert char_poly([]) == poly(1)
+    with pytest.raises(ValueError, match="square"):
+        char_poly([[0, 1]])
 
 
 def test_char_poly_is_monic():
@@ -473,6 +512,9 @@ def test_squarefree_decomposition():
     got = squarefree_decomposition(f)
     assert got == [(poly(-1, 1), 1), (poly(-2, 1), 2), (poly(3, 1), 3)]
     assert squarefree_decomposition(poly(0, -2, 0, 1)) == [(poly(0, -2, 0, 1), 1)]
+    assert squarefree_decomposition(poly(-6)) == []
+    with pytest.raises(ValueError, match="zero polynomial"):
+        squarefree_decomposition(poly())
 
 
 def test_real_roots_examples():
@@ -486,6 +528,9 @@ def test_real_roots_examples():
     assert abs(roots[0] + 2 ** 0.5) < 1e-9
     assert roots[1] == 0.0
     assert abs(roots[2] - 2 ** 0.5) < 1e-9
+    assert real_roots(poly(-7)) == []
+    with pytest.raises(ValueError, match="zero polynomial"):
+        real_roots(poly())
 
 
 def test_real_roots_ignore_complex_pairs():

@@ -191,6 +191,9 @@ def test_integrality_examples():
     assert not integrality(star_graph(2)).integral
     r = integrality(empty_graph(1))
     assert r.integral and r.eigenvalues == (0,)
+    # an IntegralityResult is truthy iff the spectrum is integral
+    assert bool(integrality(cycle_graph(3))) is True
+    assert bool(integrality(path_graph(3))) is False
 
 
 def test_integrality_matches_the_nullity_oracle():
@@ -352,6 +355,8 @@ def test_star_rejects_unbalanced_first_factor():
         corollary_star_spectrum(cycle_graph(3, -1), 2, 1)
     with pytest.raises(ValueError):
         corollary_star_spectrum(empty_graph(1), 2, 0)
+    with pytest.raises(ValueError, match="at least one leaf"):
+        corollary_star_spectrum(path_graph(2), 0, 1)
     # the leaf signs were listed before any size check: 10**18 raised MemoryError
     for n2 in (10 ** 18, MAX_VERTICES + 1):
         with pytest.raises(ValueError, match="leaf count"):
