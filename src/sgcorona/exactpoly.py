@@ -22,10 +22,9 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd
 
-from .core import (MAX_VERTICES, SignedGraph, _as_int, _check_product_order,
-                   canonical_marking, regularity)
+from .core import MAX_VERTICES, SignedGraph, _check_product_order, canonical_marking, regularity
 
 __all__ = [
     "IntPolynomial",
@@ -60,7 +59,10 @@ class IntPolynomial:
     __slots__ = ("_c",)
 
     def __init__(self, coefficients=()):
-        c = [_as_int(x, "polynomial coefficient") for x in coefficients]
+        try:  # operator.index takes numpy ints; 0.5 or '1' raise
+            c = list(map(operator.index, coefficients))
+        except TypeError:
+            raise ValueError("polynomial coefficients must be integers") from None
         while c and c[-1] == 0:
             c.pop()
         self._c = tuple(c)
@@ -179,15 +181,6 @@ class IntPolynomial:
 
     # -- integer-content helpers -------------------------------------------
 
-    def content(self) -> int:
-        """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self._c:
-            g = int_gcd(g, abs(c))
-            if g == 1:
-                break
-        return g
-
     def primitive_part(self) -> "IntPolynomial":
         """Divide out the content and normalize the leading coefficient positive."""
         p = self.divide_content()
@@ -197,7 +190,7 @@ class IntPolynomial:
         """Divide by the positive content, preserving the sign pattern."""
         if not self._c:
             return self
-        g = self.content()
+        g = gcd(*self._c)
         return IntPolynomial(tuple(c // g for c in self._c))
 
     def exact_div(self, other: "IntPolynomial") -> "IntPolynomial":
@@ -496,10 +489,10 @@ def _variations(chain: list[IntPolynomial], x: Fraction) -> int:
 def _isolate_squarefree(q: IntPolynomial, bound: int) -> list[tuple[Fraction, Fraction]]:
     """Disjoint half-open intervals (a, b], each holding one real root of q.
 
-    Every real root must lie strictly inside (-bound, bound).  With the
-    chain's zeros skipped, V(a) - V(b) counts the roots in (a, b] even
-    when an endpoint is a root, so bisection needs no special case for
-    a midpoint that is itself a root.
+    Every real root must lie strictly inside (-bound, bound), the power
+    of two from `_root_bound` or a smaller cap.  With the chain's zeros
+    skipped, V(a) - V(b) counts the roots in (a, b] even when an endpoint
+    is a root, so no midpoint that is itself a root needs a special case.
     """
     chain = list(_remainder_sequence(q, q.derivative()))
     if chain[-1].degree > 0:
@@ -560,16 +553,16 @@ def real_roots(p: IntPolynomial, bound: int | None = None) -> list[float]:
 
     Roots are isolated exactly (Yun squarefree split, Sturm bisection on
     Fractions), refined to `_ROOT_WIDTH` by integer dyadic bisection, and
-    only then rounded to float.  `bound` may give a finite nonnegative
-    bound on |root| to keep the search window small; otherwise the
-    Fujiwara bound is used.
+    only then rounded to float.  A factor's window is (-B, B], B the power
+    of two from `_root_bound`, or int(bound) + 1 if smaller: `bound` may
+    give a finite nonnegative bound on |root| to keep the window small.
     """
     cap = _bound_limit(bound)
     if p.is_zero:
         raise ValueError("zero polynomial has every number as a root")
     roots: list[float] = []
     for factor, mult in squarefree_decomposition(p):
-        for a, c in _isolate_squarefree(factor, min(_fujiwara_bound(factor) + 1, cap)):
+        for a, c in _isolate_squarefree(factor, min(_root_bound(factor), cap)):
             r = float(_refine_root(factor, a, c, _ROOT_WIDTH))
             roots.extend([r] * mult)
     roots.sort()
@@ -583,35 +576,17 @@ def _bound_limit(bound) -> int | float:
     return float("inf") if bound is None else int(bound) + 1
 
 
-def _ceil_root(c: int, k: int) -> int:
-    """Smallest integer r >= 0 with r**k >= c, for c >= 0 and k >= 1."""
-    lo, hi = 0, 1 << (c.bit_length() // k + 1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid ** k >= c:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+def _root_bound(p: IntPolynomial) -> int:
+    """A power of two B with |z| < B for every complex root z of p.
 
-
-def _fujiwara_bound(p: IntPolynomial) -> int:
-    """Integer Fujiwara bound: every complex root z of p has |z| <= B.
-
-    B = 2 * max_k r_k with r_k the least integer at least
-    |a_(d-k) / a_d|^(1/k), the last term halved inside the root (k = d).
-    For a monic polynomial of degree d with spectral radius rho,
-    |a_(d-k)| <= C(d, k) rho^k keeps B below 2 d rho, where the Cauchy
-    bound grows with the coefficients themselves.
+    Fujiwara's bound 2 max_k |a_(d-k) / a_d|^(1/k), the last ratio halved,
+    with each term rounded up to a power of two from bit lengths, as
+    |a / a_d| < 2^(bitlen(a) - bitlen(a_d) + 1).  Monic p of degree d has
+    |a_(d-k)| <= C(d, k) rho^k, rho its spectral radius: B < 8 d max(rho, 1).
     """
-    c = p.coefficients
-    d = p.degree
-    lead = abs(c[-1])
-    r = 0
-    for k in range(1, d + 1):
-        a = abs(c[d - k])
-        if k == d:
-            lead *= 2
-        r = max(r, _ceil_root(-(-a // lead), k))
-    return 2 * r
-
+    *low, lead = p.coefficients
+    d, top = len(low), abs(lead).bit_length() - 1
+    # term k < 2^e_k, e_k = ceil((bitlen(a) - bitlen(lead) + 1 - [k = d]) / k)
+    e = max((-((top + (k == d) - abs(a).bit_length()) // k)
+             for k, a in enumerate(reversed(low), 1)), default=0)
+    return 2 << max(e, 0)

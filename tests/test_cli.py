@@ -1,9 +1,12 @@
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sgcorona import IntPolynomial, SignedGraph, cli, cycle_graph, path_graph
+from sgcorona import (IntPolynomial, SignedGraph, cli, cycle_graph, equienergetic_product_pair,
+                      path_graph, spectra)
 from sgcorona.cli import GraphFormatError, main, parse_graph, write_graph
 from helpers import known_admissible_pair, random_signed_graph
 
@@ -229,6 +232,27 @@ def test_equienergetic_command_pass(tmp_path, capsys):
     assert lines[3:] == ["non-cospectral: True", "PASS"]
 
 
+def test_equienergetic_product_gap_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # the split makes the products' energy gap n1 times the factors' gap;
+    # a product spectrum off by 1e-3 can only be a bug, and exits 3
+    h1, h2 = known_admissible_pair()
+    real = spectra.product_spectrum
+
+    def shifted(g, h):
+        top, *rest = real(g, h)
+        return (top + 1e-3 * (h == h1), *rest)
+
+    monkeypatch.setattr(spectra, "product_spectrum", shifted)
+    with pytest.raises(RuntimeError, match="more than 1e-6;"):
+        equienergetic_product_pair(path_graph(2, -1), h1, h2)
+    g = graph_file(tmp_path, "p2n.sg", P2_NEG)
+    files = [graph_file(tmp_path, f"h{i}.sg", write_graph(h)) for i, h in enumerate((h1, h2))]
+    assert main(["equienergetic", g, *files]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "1e-6" in captured.err
+
+
 def test_equienergetic_command_rejects_empty_first_factor(tmp_path, capsys):
     k0 = graph_file(tmp_path, "k0.sg", "sg 0\n")
     h1, h2 = (graph_file(tmp_path, f"h{i}.sg", write_graph(h))
@@ -286,3 +310,11 @@ def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "converge" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -36,12 +36,12 @@ from sgcorona import (
 from sgcorona.exactpoly import (
     _MAX_POWER_DEGREE,
     _cleared_identity,
-    _fujiwara_bound,
     _isolate_squarefree,
     _matmul,
     _mu_square_charpoly,
     _refine_root,
     _remainder_sequence,
+    _root_bound,
     _variations,
 )
 from helpers import (
@@ -71,11 +71,13 @@ def test_polynomial_normalization():
     assert poly().degree == -1
     assert poly(5).degree == 0
     assert poly(0, 0, 3).leading == 3
+    assert IntPolynomial().leading == 0
+    assert repr(poly(1, 0, -2)) == "IntPolynomial((1, 0, -2))"
 
 
 def test_polynomial_rejects_non_integer_coefficients():
     # int() used to truncate: IntPolynomial((0.5, 1.9)) was x
-    for bad in ((0.5, 1.9), (1, 2.0), ("1",), (Fraction(1, 2),)):
+    for bad in ((0.5, 1.9), (1, 2.0), ("1",), (Fraction(1, 2),), 5):
         with pytest.raises(ValueError, match="integer"):
             IntPolynomial(bad)
     assert IntPolynomial(np.array([1, -2, 0], dtype=np.int64)) == poly(1, -2)
@@ -92,6 +94,15 @@ def test_polynomial_arithmetic():
     assert g ** 3 == poly(-1, 3, -3, 1)
     assert 2 * g == poly(-2, 2)
     assert (X + 1) * (X - 1) == X * X - 1
+    assert 3 - g == poly(4, -1)
+    assert poly(3) == 3 and g != 3
+    for op in (g.__add__, g.__sub__, g.__mul__, g.__eq__):
+        assert op("x") is NotImplemented
+    with pytest.raises(TypeError):
+        g + "x"
+    assert g != "x"
+    with pytest.raises(ValueError, match="negative power"):
+        g ** -1
 
 
 def test_polynomial_power(monkeypatch):
@@ -517,6 +528,67 @@ def test_squarefree_decomposition():
         squarefree_decomposition(poly())
 
 
+def variations_at_infinity(chain, sign):
+    """Sign variations of the chain at sign * infinity, from leading terms."""
+    signs = [p.leading * sign ** p.degree > 0 for p in chain]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def assert_window_holds(p):
+    # B is a power of two above every complex root (np.roots is floating
+    # point, hence the relative slack), and on each squarefree factor the
+    # Sturm count over (-B, B] is the count over the whole real line
+    bound = _root_bound(p)
+    assert bound >= 2 and bound & (bound - 1) == 0
+    roots = np.roots([float(c) for c in reversed(p.coefficients)])
+    assert np.all(np.abs(roots) < bound * (1 + 1e-9))
+    for q, _ in squarefree_decomposition(p):
+        bound = _root_bound(q)
+        assert bound & (bound - 1) == 0
+        chain = sturm_chain(q)
+        assert (_variations(chain, -bound) - _variations(chain, bound)
+                == variations_at_infinity(chain, -1) - variations_at_infinity(chain, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=2, max_size=11)
+       .filter(lambda c: c[-1] != 0))
+def test_property_root_bound_holds(coefficients):
+    assert_window_holds(IntPolynomial(coefficients))
+
+
+def test_root_bound_pinned_cases():
+    for k in range(31):
+        # x^d - 2^(kd): roots of modulus 2^k, Fujiwara's bound is below
+        # 2^(k+1), so B is exactly that
+        for d in (1, 2, 3, 5):
+            p = X ** d - 2 ** (k * d)
+            assert _root_bound(p) == 2 << k
+            assert_window_holds(p)
+        # x - (2^k - 1): the bit-length bound is strict, with room 1
+        p = X - (2 ** k - 1)
+        assert _root_bound(p) == max(2 ** k, 2)
+        assert real_roots(p) == [2 ** k - 1]
+    for k in (3, 17, 30):
+        assert real_roots(X ** 4 - 2 ** (4 * k)) == [-2.0 ** k, 2.0 ** k]
+    for d in (1, 2, 7):
+        # every root 0, or of modulus below 1: B is 2
+        for c in (1, -3, 2 ** 40):
+            assert _root_bound(c * X ** d) == 2
+        assert _root_bound(10 ** 9 * X ** d + 1) == 2
+        assert_window_holds(10 ** 9 * X ** d + 1)
+    for d, a in ((5, 10), (8, 100), (12, 1000)):
+        # Mignotte: two real roots within about 2 a^(-(d+2)/2) of 1/a
+        p = X ** d - 2 * (a * X - 1) ** 2
+        assert_window_holds(p)
+        assert sum(abs(r - 1 / a) < 1e-3 for r in real_roots(p)) == 2
+
+
+def test_isolation_rejects_a_repeated_root():
+    with pytest.raises(ValueError, match="not squarefree"):
+        _isolate_squarefree(X ** 2 * (X - 1), 4)
+
+
 def test_real_roots_examples():
     roots = real_roots(poly(-2, -3, 0, 1))  # (x-2)(x+1)^2
     assert len(roots) == 3
@@ -574,7 +646,7 @@ def test_property_refine_root_matches_fraction_bisection(coefficients):
     # integer dyadic bisection returns exactly the Fraction the
     # Fraction-arithmetic bisection returns, on every isolated interval
     for q, _ in squarefree_decomposition(IntPolynomial(coefficients)):
-        for a, b in _isolate_squarefree(q, _fujiwara_bound(q) + 1):
+        for a, b in _isolate_squarefree(q, _root_bound(q)):
             for width in WIDTHS:
                 assert _refine_root(q, a, b, width) == fraction_refine_root(q, a, b, width)
 

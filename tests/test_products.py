@@ -14,6 +14,7 @@ from sgcorona import (
     empty_graph,
     is_balanced,
     path_graph,
+    products,
     spectrum,
     star_graph,
     switching_iso_witness,
@@ -144,6 +145,12 @@ def test_switching_iso_witness_verifies():
         g2 = random_signed_graph(rng, rng.randint(1, 4))
         w = switching_iso_witness(g1, g2)
         assert all(s == 1 for s in w.switching)
+
+
+def test_switching_iso_witness_failure_is_an_error(monkeypatch):
+    monkeypatch.setattr(products, "relabel", lambda g, mapping: g)
+    with pytest.raises(RuntimeError, match="failed verification"):
+        switching_iso_witness(path_graph(2), cycle_graph(3))
 
 
 def test_unbalanced_second_factor_forces_unbalanced_product():

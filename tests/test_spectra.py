@@ -47,6 +47,7 @@ from sgcorona import (
     product_spectrum,
     real_roots,
     regularity,
+    spectra,
     spectrum,
     star_graph,
     switch,
@@ -435,6 +436,12 @@ def test_equienergetic_search_first_pair_pinned(first_pair):
     h1, h2 = first_pair
     assert (h1.n, h2.n) == (6, 6)
     assert (h1.edges(), h2.edges()) == FIRST_PAIR_EDGES
+
+
+def test_search_keys_disagreeing_with_the_exact_check_is_an_error(monkeypatch):
+    monkeypatch.setattr(spectra, "_coronal_check", lambda h1, h2: (True, False))
+    with pytest.raises(RuntimeError, match="search keys disagree"):
+        equienergetic_search(max_n=6)
 
 
 def test_equienergetic_search_rejects_orders_beyond_atlas():
