@@ -26,8 +26,8 @@ from .exactpoly import (
 from .products import add_vertex_corona, duplication, vertex_corona
 from .spectra import (
     PreconditionError,
+    _equienergetic_certificate,
     energy,
-    equienergetic_product_pair,
     integrality,
     spectrum,
 )
@@ -238,7 +238,7 @@ def _cmd_integral(args) -> int:
 def _cmd_equienergetic(args) -> int:
     g, h1, h2 = _load(args.g), _load(args.h1), _load(args.h2)
     try:
-        _, _, report = equienergetic_product_pair(g, h1, h2)
+        report = _equienergetic_certificate(g, h1, h2)
     except PreconditionError as exc:
         for violation in exc.violations:
             print(f"rejected: {violation}")

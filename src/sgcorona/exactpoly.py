@@ -11,10 +11,12 @@ fixed-width overflow would be silent, so big integers are mandatory.
 Also here: one remainder sequence for both gcds and Sturm chains, whose
 terms are positive multiples of the true negated remainders (the sign
 matters: Sturm counts read it), Yun squarefree decomposition, real roots
-(the exact eigenvalue oracle: Sturm isolation on Fractions, integer
-dyadic bisection), and the one product char-poly identity behind the A,
-L and Q matrices of the duplication add-vertex corona, denominator-cleared
-by Horner's rule, the first factor entering only through its graph.
+(the exact eigenvalue oracle: Sturm isolation on Fractions, each
+bisection point's Sturm count computed once and carried with its
+interval, then integer dyadic bisection), and the one product char-poly
+identity behind the A, L and Q matrices of the duplication add-vertex
+corona, denominator-cleared by Horner's rule, the first factor entering
+only through its graph.
 """
 
 from __future__ import annotations
@@ -493,24 +495,24 @@ def _isolate_squarefree(q: IntPolynomial, bound: int) -> list[tuple[Fraction, Fr
     of two from `_root_bound` or a smaller cap.  With the chain's zeros
     skipped, V(a) - V(b) counts the roots in (a, b] even when an endpoint
     is a root, so no midpoint that is itself a root needs a special case.
+    Each interval carries the counts V(a) and V(b) of its ends, so the
+    chain is evaluated once at each end of the window and then once per
+    midpoint: the halves of (a, b] take (V(a), V(mid)) and (V(mid), V(b)).
     """
     chain = list(_remainder_sequence(q, q.derivative()))
     if chain[-1].degree > 0:
         raise ValueError("Sturm chain hit a zero remainder; input not squarefree")
     lo, hi = Fraction(-bound), Fraction(bound)
     out: list[tuple[Fraction, Fraction]] = []
-    stack = [(lo, hi, _variations(chain, lo) - _variations(chain, hi))]
+    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
     while stack:
-        a, b, count = stack.pop()
-        if count == 0:
-            continue
-        if count == 1:
+        a, b, va, vb = stack.pop()
+        if va - vb == 1:
             out.append((a, b))
-            continue
-        mid = (a + b) / 2
-        v = _variations(chain, mid)
-        stack.append((a, mid, _variations(chain, a) - v))
-        stack.append((mid, b, v - _variations(chain, b)))
+        elif va > vb:
+            mid = (a + b) / 2
+            v = _variations(chain, mid)
+            stack += [(a, mid, va, v), (mid, b, v, vb)]
     return out
 
 

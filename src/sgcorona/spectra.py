@@ -270,6 +270,35 @@ def _coronal_check(h1: SignedGraph, h2: SignedGraph) -> tuple[bool, bool]:
     return p1 * f2 == p2 * f1, f1 != f2
 
 
+def _equienergetic_certificate(
+    g: SignedGraph, h1: SignedGraph, h2: SignedGraph
+) -> EquienergeticReport:
+    """The report of `equienergetic_product_pair`, from the factors alone."""
+    violations = []
+    if g.n == 0:
+        violations.append("empty first factor")
+    if h1.n != h2.n:
+        violations.append("order mismatch")
+    same_coronal, distinct = _coronal_check(h1, h2)
+    if not same_coronal:
+        violations.append("coronal mismatch")
+    e1, e2 = energy(h1).energy, energy(h2).energy
+    if abs(e1 - e2) > _ENERGY_TOL:
+        violations.append("energy mismatch")
+    if not distinct:
+        violations.append("cospectral inputs")
+    if violations:
+        raise PreconditionError(violations)
+    pe1, pe2 = (float(sum(abs(v) for v in product_spectrum(g, h))) for h in (h1, h2))
+    gap = abs(pe1 - pe2)
+    if gap > _PRODUCT_GAP_TOL:
+        tol = f"{_PRODUCT_GAP_TOL:.0e}".replace("e-0", "e-")  # 1e-6, not 1e-06
+        raise RuntimeError(
+            f"constructed products' energies differ by more than {tol}; for n1 <= 100 this is a bug"
+        )
+    return EquienergeticReport(pe1, pe2, gap, not distinct)
+
+
 def equienergetic_product_pair(g: SignedGraph, h1: SignedGraph, h2: SignedGraph):
     """Build g (*) h1 and g (*) h2 from an admissible equienergetic pair.
 
@@ -288,31 +317,8 @@ def equienergetic_product_pair(g: SignedGraph, h1: SignedGraph, h2: SignedGraph)
     only for n1 <= 100; for a larger g the error can also mean inputs
     whose energies differ by more than 1e-6 / n1.
     """
-    violations = []
-    if g.n == 0:
-        violations.append("empty first factor")
-    if h1.n != h2.n:
-        violations.append("order mismatch")
-    same_coronal, distinct = _coronal_check(h1, h2)
-    if not same_coronal:
-        violations.append("coronal mismatch")
-    e1, e2 = energy(h1).energy, energy(h2).energy
-    if abs(e1 - e2) > _ENERGY_TOL:
-        violations.append("energy mismatch")
-    if not distinct:
-        violations.append("cospectral inputs")
-    if violations:
-        raise PreconditionError(violations)
-    prod1, _ = add_vertex_corona(g, h1)
-    prod2, _ = add_vertex_corona(g, h2)
-    pe1, pe2 = (float(sum(abs(v) for v in product_spectrum(g, h))) for h in (h1, h2))
-    gap = abs(pe1 - pe2)
-    if gap > _PRODUCT_GAP_TOL:
-        tol = f"{_PRODUCT_GAP_TOL:.0e}".replace("e-0", "e-")  # 1e-6, not 1e-06
-        raise RuntimeError(
-            f"constructed products' energies differ by more than {tol}; for n1 <= 100 this is a bug"
-        )
-    return prod1, prod2, EquienergeticReport(pe1, pe2, gap, not distinct)
+    report = _equienergetic_certificate(g, h1, h2)
+    return add_vertex_corona(g, h1)[0], add_vertex_corona(g, h2)[0], report
 
 
 # Largest order in the shipped atlas table (`_atlas.py`), hence the

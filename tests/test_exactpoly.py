@@ -20,6 +20,7 @@ from sgcorona import (
     coronal_pair,
     cycle_graph,
     empty_graph,
+    exactpoly,
     graph_coronal,
     is_balanced,
     mu_signed_graph,
@@ -587,6 +588,74 @@ def test_root_bound_pinned_cases():
 def test_isolation_rejects_a_repeated_root():
     with pytest.raises(ValueError, match="not squarefree"):
         _isolate_squarefree(X ** 2 * (X - 1), 4)
+
+
+def criterion_10_matrix(n, seed):
+    """Symmetric n x n matrix with entries in [-4, 4], as criterion 10 draws them."""
+    rng = random.Random(seed)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.randint(-4, 4)
+    return m
+
+
+def test_isolation_evaluates_each_point_once(monkeypatch):
+    # the chain is evaluated at both ends of the window, then once per
+    # midpoint: each later point halves two adjacent points already seen
+    mignotte = X ** 5 - 2 * (10 * X - 1) ** 2
+    for q in (STURM_CASES[0][0], mignotte, char_poly(criterion_10_matrix(12, 1010))):
+        points = []
+
+        def recording(chain, x):
+            points.append(x)
+            return _variations(chain, x)
+
+        bound = _root_bound(q)
+        with monkeypatch.context() as patch:
+            patch.setattr(exactpoly, "_variations", recording)
+            intervals = _isolate_squarefree(q, bound)
+        assert len(set(points)) == len(points)
+        assert points[:2] == [-bound, bound]
+        for i, x in enumerate(points[2:], 2):
+            below = max(p for p in points[:i] if p < x)
+            above = min(p for p in points[:i] if p > x)
+            assert x == (below + above) / 2
+        # evaluations = 2 + midpoints, and the leaves of the bisection are
+        # the gaps between adjacent points, the isolating intervals among them
+        ends = sorted(points)
+        assert set(intervals) <= set(zip(ends, ends[1:]))
+        assert len(intervals) == len(real_roots(q)) >= 1
+
+
+def isolation_holds(q):
+    """Disjoint (a, b] intervals, Sturm count 1 each, as many as q's real roots."""
+    chain = sturm_chain(q)
+    intervals = sorted(_isolate_squarefree(q, _root_bound(q)))
+    for (_, b), (a, _) in zip(intervals, intervals[1:]):
+        assert b <= a
+    for a, b in intervals:
+        assert a < b and _variations(chain, a) - _variations(chain, b) == 1
+    assert len(intervals) == variations_at_infinity(chain, -1) - variations_at_infinity(chain, 1)
+    return intervals
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetric_int_matrices(max_n=7))
+def test_property_isolation_of_squarefree_char_polys(m):
+    f = char_poly(m)
+    isolation_holds(f.exact_div(poly_gcd(f, f.derivative())))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 8), st.integers(-40, 40)), min_size=1, max_size=8,
+                unique_by=lambda t: Fraction(t[1], t[0])))
+def test_property_isolation_of_distinct_linear_factors(factors):
+    # q = prod (a x - b): every root b/a lies in exactly one interval
+    q = math.prod((poly(-b, a) for a, b in factors), start=poly(1))
+    intervals = isolation_holds(q)
+    for a, b in factors:
+        assert sum(lo < Fraction(b, a) <= hi for lo, hi in intervals) == 1
 
 
 def test_real_roots_examples():
