@@ -11,20 +11,22 @@ fixed-width overflow would be silent, so big integers are mandatory.
 Also here: one remainder sequence for both gcds and Sturm chains, whose
 terms are positive multiples of the true negated remainders (the sign
 matters: Sturm counts read it), Yun squarefree decomposition, real roots
-(the exact eigenvalue oracle: Sturm isolation on Fractions, each
-bisection point's Sturm count computed once and carried with its
-interval, then integer dyadic bisection), and the one product char-poly
-identity behind the A, L and Q matrices of the duplication add-vertex
-corona, denominator-cleared by Horner's rule, the first factor entering
-only through its graph.
+(the exact eigenvalue oracle: dyadic brackets around float seeds from
+np.roots, certified by integer sign checks and a count, falling back to
+Yun and then to Sturm bisection at dyadic points, each point's Sturm
+count computed once; then integer dyadic bisection), and the one
+product char-poly identity behind the A, L and Q matrices of the
+duplication add-vertex corona, denominator-cleared by Horner's rule,
+the first factor entering only through its graph.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
+
+import numpy as np
 
 from .core import MAX_VERTICES, SignedGraph, _check_product_order, canonical_marking, regularity
 
@@ -479,40 +481,38 @@ def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]
     return out
 
 
-def _variations(chain: list[IntPolynomial], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = p(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _variations(chain: list[IntPolynomial], m: int, k: int) -> int:
+    """Sign changes along the chain at the dyadic point m / 2^k, zeros skipped."""
+    signs = [v > 0 for v in (_scaled_value(p, m, k) for p in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _isolate_squarefree(q: IntPolynomial, bound: int) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint half-open intervals (a, b], each holding one real root of q.
+def _isolate_squarefree(q: IntPolynomial, bound: int) -> list[tuple[int, int, int]]:
+    """Disjoint brackets (a/2^k, b/2^k], given as (a, b, k), each holding
+    one real root of q: the Sturm fallback of `real_roots`.
 
     Every real root must lie strictly inside (-bound, bound), the power
     of two from `_root_bound` or a smaller cap.  With the chain's zeros
     skipped, V(a) - V(b) counts the roots in (a, b] even when an endpoint
     is a root, so no midpoint that is itself a root needs a special case.
-    Each interval carries the counts V(a) and V(b) of its ends, so the
+    Each bracket carries the counts V(a) and V(b) of its ends, so the
     chain is evaluated once at each end of the window and then once per
     midpoint: the halves of (a, b] take (V(a), V(mid)) and (V(mid), V(b)).
+    Every point is dyadic, so every count is read from integers.
     """
     chain = list(_remainder_sequence(q, q.derivative()))
     if chain[-1].degree > 0:
         raise ValueError("Sturm chain hit a zero remainder; input not squarefree")
-    lo, hi = Fraction(-bound), Fraction(bound)
-    out: list[tuple[Fraction, Fraction]] = []
-    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
+    out: list[tuple[int, int, int]] = []
+    stack = [(-bound, bound, 0, _variations(chain, -bound, 0), _variations(chain, bound, 0))]
     while stack:
-        a, b, va, vb = stack.pop()
+        a, b, k, va, vb = stack.pop()
         if va - vb == 1:
-            out.append((a, b))
+            out.append((a, b, k))
         elif va > vb:
-            mid = (a + b) / 2
-            v = _variations(chain, mid)
-            stack += [(a, mid, va, v), (mid, b, v, vb)]
+            mid, k = a + b, k + 1  # (a + b) / 2^(k + 1)
+            v = _variations(chain, mid, k)
+            stack += [(2 * a, mid, k, va, v), (mid, 2 * b, k, v, vb)]
     return out
 
 
@@ -524,49 +524,124 @@ def _scaled_value(q: IntPolynomial, m: int, k: int) -> int:
     return acc
 
 
-def _refine_root(q: IntPolynomial, a: Fraction, b: Fraction, width: Fraction) -> Fraction:
-    """Bisect (a, b], holding one simple root of q, down to the width.
+def _refine_root(q: IntPolynomial, a: int, b: int, k: int, scale: int) -> tuple[int, int]:
+    """Bisect (a/2^k, b/2^k], holding one simple root of q, to width 1/scale.
 
-    a and b are dyadic, so the bracket is (lo, lo + span] over 2^k in
-    integers; halving it doubles lo and k and leaves span fixed.  It keeps
-    q's sign at its right end; a root at b or a midpoint returns exactly.
+    The bracket is (lo, lo + span] over 2^k; halving it doubles lo and k
+    and leaves span fixed.  It keeps q's sign at its right end.  The root
+    comes back as (m, j), the dyadic m/2^j: exactly if it lies at b or at
+    a midpoint, else as the midpoint of the last bracket.
     """
-    k = max(a.denominator, b.denominator).bit_length() - 1
-    lo, span = int(a * 2 ** k), int((b - a) * 2 ** k)
-    fb = _scaled_value(q, lo + span, k)
+    lo, span = a, b - a
+    fb = _scaled_value(q, b, k)
     if fb == 0:
-        return b
-    while span * width.denominator > width.numerator << k:
+        return b, k
+    while span * scale > 1 << k:
         lo, k = lo << 1, k + 1
         fm = _scaled_value(q, lo + span, k)  # the old bracket's midpoint
         if fm == 0:
-            return Fraction(lo + span, 1 << k)
+            return lo + span, k
         if (fm > 0) != (fb > 0):
             lo += span
-    return Fraction(2 * lo + span, 1 << (k + 1))
+    return 2 * lo + span, k + 1
 
 
-# Bracket width every real root is refined to, exactly, before rounding
-_ROOT_WIDTH = Fraction(1, 10 ** 11)
+def _seeds(q: IntPolynomial) -> list[float]:
+    """Real parts of q's roots from `np.roots`; none if a coefficient overflows a float."""
+    try:
+        return np.roots([float(c) for c in reversed(q.coefficients)]).real.tolist()
+    except (OverflowError, np.linalg.LinAlgError):
+        return []
+
+
+# Dyadic scale k of the seed brackets, and their half-widths in units of
+# 2^-k, tried in turn: about 2.3e-10, 6.0e-8 and 1.5e-5
+_SEED_SCALE = 40
+_SEED_HALF_WIDTHS = (1 << 8, 1 << 16, 1 << 24)
+
+
+def _seeded_brackets(q: IntPolynomial, seeds) -> list[tuple[int, int, int]] | None:
+    """Brackets (a/2^k, b/2^k], as (a, b, k), that certify every root of q
+    real and simple, one around each float seed; None if they do not.
+
+    Each seed is rounded to the grid 2^-k, k = `_SEED_SCALE`, and gets a
+    bracket of half-width h; two brackets that overlap are both cut at
+    the midpoint of their centres, so the brackets are disjoint.  If q is
+    nonzero at a and q(a) q(b) <= 0 on every one, each holds a root, by
+    the intermediate value theorem, so deg q disjoint brackets hold
+    deg q distinct roots: all of q's, each simple, so q is squarefree.
+    The signs come from integers (`_scaled_value`).  A failed check
+    retries with the next half-width in `_SEED_HALF_WIDTHS`.  Too few
+    seeds, a non-finite one, or two on one grid point (as the real parts
+    of a complex pair are) give None at once.
+    """
+    k = _SEED_SCALE
+    try:
+        centres = sorted(round(s * (1 << k)) for s in seeds)
+    except (OverflowError, ValueError):  # an infinite or NaN seed
+        return None
+    if len(centres) != q.degree or any(a == b for a, b in zip(centres, centres[1:])):
+        return None
+    for h in _SEED_HALF_WIDTHS:
+        los, his = [c - h for c in centres], [c + h for c in centres]
+        for i in range(len(centres) - 1):
+            if his[i] > los[i + 1]:
+                his[i] = los[i + 1] = (centres[i] + centres[i + 1]) >> 1
+        value = {x: _scaled_value(q, x, k) for x in {*los, *his}}
+        if all(value[a] and value[a] * value[b] <= 0 for a, b in zip(los, his)):
+            return [(a, b, k) for a, b in zip(los, his)]
+    return None
+
+
+def _in_window(q: IntPolynomial, brackets, bound: int) -> list[tuple[int, int, int]]:
+    """Brackets, each holding one simple root of q and no other, cut to
+    (-bound, bound]; a cut bracket stays only if it still holds its root."""
+    out = []
+    for a, b, k in brackets:
+        lo, hi = max(a, -bound << k), min(b, bound << k)
+        if (lo, hi) != (a, b):
+            flo = _scaled_value(q, lo, k) if lo < hi else 0
+            if not flo or flo * _scaled_value(q, hi, k) > 0:
+                continue
+        out.append((lo, hi, k))
+    return out
+
+
+# Brackets are refined, exactly, to width 1/_ROOT_SCALE before rounding
+_ROOT_SCALE = 10 ** 11
 
 
 def real_roots(p: IntPolynomial, bound: int | None = None) -> list[float]:
     """All real roots of p with multiplicity, ascending, to within 1e-11.
 
-    Roots are isolated exactly (Yun squarefree split, Sturm bisection on
-    Fractions), refined to `_ROOT_WIDTH` by integer dyadic bisection, and
-    only then rounded to float.  A factor's window is (-B, B], B the power
-    of two from `_root_bound`, or int(bound) + 1 if smaller: `bound` may
-    give a finite nonnegative bound on |root| to keep the window small.
+    Roots are isolated exactly, refined to width 1/`_ROOT_SCALE` by
+    integer dyadic bisection, and only then rounded to float.  Isolation
+    first certifies brackets around float seeds from `np.roots` on p's
+    primitive part q (`_seeded_brackets`); deg q certified brackets also
+    prove q squarefree, so Yun does not run.  If the certificate fails,
+    p is split by Yun and each factor tried the same way; a factor whose
+    seeds fail too is isolated by Sturm bisection on dyadic points.
+    Only roots in (-B, B] count, B the power of two from `_root_bound`,
+    or int(bound) + 1 if smaller: `bound` may give a finite nonnegative
+    bound on |root| to keep the Sturm window small.
     """
     cap = _bound_limit(bound)
     if p.is_zero:
         raise ValueError("zero polynomial has every number as a root")
+    q = p.primitive_part()
+    brackets = _seeded_brackets(q, _seeds(q))
+    if brackets is not None:
+        pieces = [(q, 1, brackets)]
+    else:
+        pieces = [(f, m, _seeded_brackets(f, _seeds(f))) for f, m in squarefree_decomposition(p)]
     roots: list[float] = []
-    for factor, mult in squarefree_decomposition(p):
-        for a, c in _isolate_squarefree(factor, min(_root_bound(factor), cap)):
-            r = float(_refine_root(factor, a, c, _ROOT_WIDTH))
-            roots.extend([r] * mult)
+    for f, mult, brackets in pieces:
+        window = min(_root_bound(f), cap)
+        if brackets is None:
+            brackets = _isolate_squarefree(f, window)
+        for a, b, k in _in_window(f, brackets, window):
+            m, j = _refine_root(f, a, b, k, _ROOT_SCALE)
+            roots.extend([m / (1 << j)] * mult)
     roots.sort()
     return roots
 

@@ -49,21 +49,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Spectrum:
-    """Real eigenvalues sorted descending; multiplicity by repetition."""
+    """Real eigenvalues sorted descending; multiplicity by repetition.
 
-    values: tuple[float, ...]
+    The values are stored packed, as float64 bytes: 8 bytes a value, where
+    a tuple of floats costs 32 (the float object and its slot).  `values`
+    unpacks them into a new tuple on each access.  Instances are immutable;
+    equality and hashing go by the values, so 0.0 and -0.0 agree.
+    """
+
+    __slots__ = ("_packed",)
+
+    def __init__(self, values):
+        object.__setattr__(self, "_packed", np.asarray(values, dtype=np.float64).tobytes())
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._packed) // 8
 
     def __iter__(self):
-        return iter(self.values)
+        return iter(memoryview(self._packed).cast("d"))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash(self.values)
+
+    def __repr__(self) -> str:
+        return f"Spectrum(values={self.values!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Spectrum is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Spectrum is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (Spectrum, (self.values,))
 
     def to_lines(self) -> list[str]:
         """One eigenvalue per line, 12 significant digits, descending."""
-        return [f"{v:.12g}" for v in self.values]
+        return [f"{v:.12g}" for v in self]
 
 
 def _symmetric(matrix) -> np.ndarray:
@@ -103,8 +135,7 @@ def jacobi_eigh(matrix):
 
 def eig_sym(matrix) -> Spectrum:
     """Spectrum of a real symmetric matrix via LAPACK (numpy eigvalsh)."""
-    w = _lapack(np.linalg.eigvalsh, _symmetric(matrix))
-    return Spectrum(tuple(w[::-1].tolist()))
+    return Spectrum(_lapack(np.linalg.eigvalsh, _symmetric(matrix))[::-1])
 
 
 def spectrum(g: SignedGraph, which: str = "A") -> Spectrum:
@@ -187,8 +218,7 @@ def product_spectrum(g1: SignedGraph, g2: SignedGraph) -> Spectrum:
     b[2:, 2:] = g2.adjacency()
     m = np.repeat(b[None], len(t), axis=0)
     m[:, 0, 1] = m[:, 1, 0] = t
-    w = np.sort(_lapack(np.linalg.eigvalsh, m).ravel())[::-1]
-    return Spectrum(tuple(w.tolist()))
+    return Spectrum(np.sort(_lapack(np.linalg.eigvalsh, m).ravel())[::-1])
 
 
 def corollary_coregular_spectrum(g1: SignedGraph, g2: SignedGraph) -> Spectrum:

@@ -2,6 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,6 +44,8 @@ from sgcorona.exactpoly import (
     _refine_root,
     _remainder_sequence,
     _root_bound,
+    _seeded_brackets,
+    _seeds,
     _variations,
 )
 from helpers import (
@@ -219,7 +222,7 @@ def test_sturm_counts_through_negative_leading_terms():
     for q, count in STURM_CASES:
         chain = sturm_chain(q)
         assert min(p.leading for p in chain) < 0
-        assert _variations(chain, Fraction(-100)) - _variations(chain, Fraction(100)) == count
+        assert _variations(chain, -100, 0) - _variations(chain, 100, 0) == count
     for q, count in STURM_CASES:
         assert len(real_roots(q)) == count
 
@@ -547,7 +550,7 @@ def assert_window_holds(p):
         bound = _root_bound(q)
         assert bound & (bound - 1) == 0
         chain = sturm_chain(q)
-        assert (_variations(chain, -bound) - _variations(chain, bound)
+        assert (_variations(chain, -bound, 0) - _variations(chain, bound, 0)
                 == variations_at_infinity(chain, -1) - variations_at_infinity(chain, 1))
 
 
@@ -607,9 +610,9 @@ def test_isolation_evaluates_each_point_once(monkeypatch):
     for q in (STURM_CASES[0][0], mignotte, char_poly(criterion_10_matrix(12, 1010))):
         points = []
 
-        def recording(chain, x):
-            points.append(x)
-            return _variations(chain, x)
+        def recording(chain, m, k):
+            points.append(Fraction(m, 2 ** k))
+            return _variations(chain, m, k)
 
         bound = _root_bound(q)
         with monkeypatch.context() as patch:
@@ -624,18 +627,25 @@ def test_isolation_evaluates_each_point_once(monkeypatch):
         # evaluations = 2 + midpoints, and the leaves of the bisection are
         # the gaps between adjacent points, the isolating intervals among them
         ends = sorted(points)
-        assert set(intervals) <= set(zip(ends, ends[1:]))
+        assert set(map(dyadic_interval, intervals)) <= set(zip(ends, ends[1:]))
         assert len(intervals) == len(real_roots(q)) >= 1
+
+
+def dyadic_interval(bracket):
+    """The bracket (a, b, k) of `_isolate_squarefree` as Fractions (a/2^k, b/2^k)."""
+    a, b, k = bracket
+    return Fraction(a, 2 ** k), Fraction(b, 2 ** k)
 
 
 def isolation_holds(q):
     """Disjoint (a, b] intervals, Sturm count 1 each, as many as q's real roots."""
     chain = sturm_chain(q)
-    intervals = sorted(_isolate_squarefree(q, _root_bound(q)))
+    brackets = _isolate_squarefree(q, _root_bound(q))
+    intervals = sorted(map(dyadic_interval, brackets))
     for (_, b), (a, _) in zip(intervals, intervals[1:]):
         assert b <= a
-    for a, b in intervals:
-        assert a < b and _variations(chain, a) - _variations(chain, b) == 1
+    for a, b, k in brackets:
+        assert a < b and _variations(chain, a, k) - _variations(chain, b, k) == 1
     assert len(intervals) == variations_at_infinity(chain, -1) - variations_at_infinity(chain, 1)
     return intervals
 
@@ -679,19 +689,167 @@ def test_real_roots_ignore_complex_pairs():
     assert real_roots(poly(0, 1, 0, 1)) == [0.0]
 
 
-def test_real_roots_on_bisection_points():
-    # x (2x - 1) (4x + 1) (x^2 - 2): with bound 3 the search window is
-    # (-4, 4], so 0, 1/2 and -1/4 are each a bisection midpoint, the
-    # first of them at the top level, and come back exactly
+def test_real_roots_on_bisection_points(monkeypatch):
+    # x (2x - 1) (4x + 1) (x^2 - 2): 0, 1/2 and -1/4 come back exactly.
+    # Seeded, each is the centre of its bracket, so the first midpoint;
+    # by Sturm, with bound 3 the search window is (-4, 4], so each is a
+    # bisection midpoint, the first of them at the top level
     p = X * poly(-1, 2) * poly(1, 4) * poly(-2, 0, 1)
     expected = [-math.sqrt(2), -0.25, 0.0, 0.5, math.sqrt(2)]
-    roots = real_roots(p, bound=3)
-    assert roots[1:4] == [-0.25, 0.0, 0.5]
-    assert roots == pytest.approx(expected, abs=1e-11)
-    assert real_roots(p) == pytest.approx(expected, abs=1e-11)
-    # a squared factor is isolated on its own and repeats its root
-    roots = real_roots(p * poly(-1, 2), bound=3)
-    assert roots == pytest.approx(expected[:4] + [0.5] + expected[4:], abs=1e-11)
+    for seeded in (True, False):
+        with monkeypatch.context() as patch:
+            if not seeded:
+                patch.setattr(exactpoly, "_seeded_brackets", lambda q, seeds: None)
+            roots = real_roots(p, bound=3)
+            assert roots[1:4] == [-0.25, 0.0, 0.5]
+            assert roots == pytest.approx(expected, abs=1e-11)
+            assert real_roots(p) == pytest.approx(expected, abs=1e-11)
+            # a squared factor is isolated on its own and repeats its root
+            roots = real_roots(p * poly(-1, 2), bound=3)
+            assert roots == pytest.approx(expected[:4] + [0.5] + expected[4:], abs=1e-11)
+
+
+def fraction_count(chain, lo, hi):
+    """Roots of the chain's first term in (lo, hi], by Fraction evaluation."""
+    def v(x):
+        signs = [s > 0 for s in (p(x) for p in chain) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    return v(lo) - v(hi)
+
+
+def assert_roots_of_squarefree(q, roots):
+    """roots are all of q's real roots, each within 1e-11 before rounding
+    to float: each run of roots closer than 2e-11 holds as many roots of q
+    within 1e-11 and an ulp of it, and no more are left."""
+    chain = sturm_chain(q)
+    assert chain[-1].degree == 0
+    assert len(roots) == variations_at_infinity(chain, -1) - variations_at_infinity(chain, 1)
+    runs = []
+    for r in roots:
+        if runs and r - runs[-1][-1] <= 2e-11:
+            runs[-1].append(r)
+        else:
+            runs.append([r])
+    for run in runs:
+        lo, hi = (Fraction(r) + sign * (Fraction(1, 10 ** 11) + Fraction(math.ulp(r)))
+                  for r, sign in ((run[0], -1), (run[-1], 1)))
+        assert fraction_count(chain, lo, hi) == len(run)
+
+
+def fallback_recorder(monkeypatch):
+    """Names of the fallback steps `real_roots` takes, as they run."""
+    steps = []
+    for name in ("squarefree_decomposition", "_isolate_squarefree"):
+        real = getattr(exactpoly, name)
+        monkeypatch.setattr(exactpoly, name,
+                            lambda *args, name=name, real=real: steps.append(name) or real(*args))
+    return steps
+
+
+def test_mignotte_forces_the_fallback_and_keeps_exact_roots(monkeypatch):
+    # x^d - 2(ax - 1)^2 has two real roots near 1/a, for large a about
+    # 2 a^(-(d+2)/2) apart; for d >= 5 it also has complex ones, so no
+    # certificate of deg p brackets exists and Yun, then Sturm, must run
+    steps = fallback_recorder(monkeypatch)
+    for d in range(3, 13):
+        for a in (2, 3, 10, 100, 1000):
+            p = X ** d - 2 * (a * X - 1) ** 2
+            steps.clear()
+            roots = real_roots(p)
+            assert_roots_of_squarefree(p, roots)
+            if a >= 100:
+                assert sum(abs(r - 1 / a) < 1e-3 for r in roots) == 2
+            if d >= 5:
+                assert steps == ["squarefree_decomposition", "_isolate_squarefree"]
+
+
+def test_repeated_roots_come_back_through_yun(monkeypatch):
+    steps = fallback_recorder(monkeypatch)
+    f, g, h = (char_poly(criterion_10_matrix(n, 70 + n)) for n in (2, 3, 4))
+    for u, v in ((f, g), (f, h), (g, h)):
+        assert poly_gcd(u, v) == 1
+    for q in (f, g, h):
+        steps.clear()
+        assert_roots_of_squarefree(q, real_roots(q))
+        assert not steps
+    steps.clear()
+    want = sorted(real_roots(f) + 2 * real_roots(g) + 3 * real_roots(h))
+    assert real_roots(f * g ** 2 * h ** 3) == want
+    assert steps[0] == "squarefree_decomposition"
+    for n in range(1, 9):
+        m = criterion_10_matrix(n, 90 + n)
+        mm = [row + [0] * n for row in m] + [[0] * n + row for row in m]
+        assert real_roots(char_poly(mm)) == sorted(2 * real_roots(char_poly(m)))
+
+
+def test_seeded_path_certifies_criterion_10_char_polys(monkeypatch):
+    def fail(*args):
+        raise AssertionError("fallback ran")
+
+    monkeypatch.setattr(exactpoly, "squarefree_decomposition", fail)
+    monkeypatch.setattr(exactpoly, "_isolate_squarefree", fail)
+    for n in range(1, 21):
+        for seed in (1010 * n, 1010 * n + 1):
+            m = criterion_10_matrix(n, seed)
+            want = np.linalg.eigvalsh(np.array(m, dtype=float))
+            for bound in (None, max(sum(map(abs, row)) for row in m)):
+                roots = real_roots(char_poly(m), bound=bound)
+                assert len(roots) == n
+                assert np.max(np.abs(np.array(roots) - want)) < 1e-9
+
+
+def test_seeded_brackets_widen_then_give_up():
+    q = char_poly(criterion_10_matrix(12, 1212))
+    seeds = _seeds(q)
+    chain = sturm_chain(q)
+    for shift, half_width in ((0, 2 ** 8), (1e-9, 2 ** 16), (1e-6, 2 ** 24)):
+        brackets = _seeded_brackets(q, [s + shift for s in seeds])
+        assert len(brackets) == q.degree
+        assert all(k == 40 and 0 < b - a <= 2 * half_width for a, b, k in brackets)
+        assert all(b <= c for (_, b, _), (c, _, _) in zip(brackets, brackets[1:]))
+        assert max(b - a for a, b, _ in brackets) > half_width
+        for a, b, k in brackets:
+            assert fraction_count(chain, Fraction(a, 2 ** k), Fraction(b, 2 ** k)) == 1
+    assert _seeded_brackets(q, [s + 1e-3 for s in seeds]) is None
+    assert _seeded_brackets(q, seeds[1:]) is None
+    assert _seeded_brackets(q, [math.nan] + seeds[1:]) is None
+    # a complex pair has one real part: x^2 + 1, and (x - 1)(x^2 + 1)
+    for p in (poly(1, 0, 1), poly(-1, 1, -1, 1)):
+        assert _seeded_brackets(p, _seeds(p)) is None
+
+
+def root_runs(roots):
+    """(value, multiplicity) for each run of equal roots."""
+    runs = []
+    for r in roots:
+        if runs and runs[-1][0] == r:
+            runs[-1][1] += 1
+        else:
+            runs.append([r, 1])
+    return runs
+
+
+@st.composite
+def polynomials_with_repeats(draw):
+    """Products of linear factors and small char polys, with multiplicities."""
+    p = poly(draw(st.integers(1, 3)))
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            factor = poly(draw(st.integers(-40, 40)), draw(st.integers(1, 8)))
+        else:
+            factor = char_poly(draw(symmetric_int_matrices(max_n=4)))
+        p = p * factor ** draw(st.integers(1, 3))
+    return p
+
+
+@settings(max_examples=80, deadline=None)
+@given(polynomials_with_repeats(), st.sampled_from([None, 0, 1, 2, 3, 7]))
+def test_property_seeded_roots_match_sturm_roots(p, bound):
+    seeded = root_runs(real_roots(p, bound=bound))
+    with mock.patch.object(exactpoly, "_seeded_brackets", lambda q, seeds: None):
+        sturm = root_runs(real_roots(p, bound=bound))
+    assert [m for _, m in seeded] == [m for _, m in sturm]
+    assert all(abs(a - b) <= 2e-11 for (a, _), (b, _) in zip(seeded, sturm))
 
 
 def test_root_finders_reject_negative_or_infinite_bound():
@@ -709,23 +867,33 @@ def test_root_finders_reject_negative_or_infinite_bound():
 WIDTHS = [Fraction(t).limit_denominator(10 ** 15) for t in (1e-3, 1e-11, 1e-15, 2 ** -20)]
 
 
+def refine(q, a, b, width):
+    """`_refine_root` on (a, b], a and b dyadic Fractions, to a unit-fraction
+    width, returning the root as a Fraction."""
+    assert width.numerator == 1
+    k = max(a.denominator, b.denominator).bit_length() - 1
+    m, j = _refine_root(q, int(a * 2 ** k), int(b * 2 ** k), k, width.denominator)
+    return Fraction(m, 2 ** j)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-20, 20), min_size=2, max_size=9).filter(lambda c: c[-1] != 0))
 def test_property_refine_root_matches_fraction_bisection(coefficients):
     # integer dyadic bisection returns exactly the Fraction the
     # Fraction-arithmetic bisection returns, on every isolated interval
     for q, _ in squarefree_decomposition(IntPolynomial(coefficients)):
-        for a, b in _isolate_squarefree(q, _root_bound(q)):
+        for bracket in _isolate_squarefree(q, _root_bound(q)):
+            a, b = dyadic_interval(bracket)
             for width in WIDTHS:
-                assert _refine_root(q, a, b, width) == fraction_refine_root(q, a, b, width)
+                assert refine(q, a, b, width) == fraction_refine_root(q, a, b, width)
 
 
 def test_refine_root_pinned_cases():
     width = WIDTHS[1]
     q = poly(-1, 1)  # root 1 at b: returned as b itself
-    assert _refine_root(q, Fraction(0), Fraction(1), width) == 1
+    assert refine(q, Fraction(0), Fraction(1), width) == 1
     q = poly(-3, 8)  # root 3/8 at the third midpoint of (0, 1]
-    assert _refine_root(q, Fraction(0), Fraction(1), width) == Fraction(3, 8)
+    assert refine(q, Fraction(0), Fraction(1), width) == Fraction(3, 8)
     # endpoints over different denominators: -bound and a dyadic; and
     # (0, 1], whose bracket widths meet the dyadic width exactly
     for q, a, b in ((poly(-1, 3), Fraction(0), Fraction(1)),
@@ -733,11 +901,11 @@ def test_refine_root_pinned_cases():
                     (poly(-2, 0, 1), Fraction(-3), Fraction(-7, 8)),
                     (poly(-2, 0, 1), Fraction(5, 4), Fraction(3))):
         for w in WIDTHS:
-            r = _refine_root(q, a, b, w)
+            r = refine(q, a, b, w)
             assert r == fraction_refine_root(q, a, b, w)
             assert a < r <= b and r.denominator & (r.denominator - 1) == 0
-    assert abs(_refine_root(poly(3, 2), Fraction(-4), Fraction(-5, 4), width) + 1.5) <= width
-    assert abs(_refine_root(poly(-2, 0, 1), Fraction(-3), Fraction(-7, 8), width)
+    assert abs(refine(poly(3, 2), Fraction(-4), Fraction(-5, 4), width) + 1.5) <= width
+    assert abs(refine(poly(-2, 0, 1), Fraction(-3), Fraction(-7, 8), width)
                + math.sqrt(2)) < 1e-11
 
 

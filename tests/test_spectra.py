@@ -1,6 +1,8 @@
+import copy
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -19,6 +21,7 @@ from sgcorona import (
     Marking,
     PreconditionError,
     SignedGraph,
+    Spectrum,
     add_vertex_corona,
     canonical_marking,
     char_poly,
@@ -167,6 +170,42 @@ def test_spectrum_serialization():
     assert values == sorted(values, reverse=True)
     assert abs(values[0] - math.sqrt(2)) < 1e-11
     assert lines[0] == f"{math.sqrt(2):.12g}"
+
+
+def test_spectrum_values_round_trip_exactly():
+    values = (2.5, 1 / 3, 1e-300, 0.0, -0.0, -7.25, -1e300)
+    for spec in (Spectrum(values), Spectrum(values=values), Spectrum(np.array(values))):
+        assert [v.hex() for v in spec.values] == [v.hex() for v in values]
+        assert type(spec.values) is tuple and all(type(v) is float for v in spec.values)
+        assert len(spec) == len(values) and [v.hex() for v in spec] == [v.hex() for v in values]
+        assert spec.to_lines() == [f"{v:.12g}" for v in values]
+    assert Spectrum(()).values == () and len(Spectrum([])) == 0
+
+
+def test_spectrum_equality_and_hash():
+    a, b = Spectrum((1.0, 0.0, -1.0)), Spectrum(np.array([1.0, -0.0, -1.0]))
+    assert a == b and hash(a) == hash(b)
+    assert a != Spectrum((1.0, 0.0)) and a != Spectrum((1.0, 0.0, -1.5))
+    assert a != (1.0, 0.0, -1.0)
+    assert len({a, b, Spectrum([1, 0, -1])}) == 1
+
+
+def test_spectrum_is_immutable_and_shows_its_values():
+    spec = eig_sym([[0, 1], [1, 0]])
+    for name in ("values", "_packed", "other"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, (2.0,))
+    with pytest.raises(AttributeError):
+        del spec._packed
+    assert spec.values == (1.0, -1.0)
+    assert repr(spec) == "Spectrum(values=(1.0, -1.0))"
+    assert pickle.loads(pickle.dumps(spec)) == spec and copy.copy(spec) == spec
+
+
+def test_spectrum_stores_eight_bytes_a_value():
+    spec = Spectrum(np.linspace(-4.0, 4.0, 4096))
+    stored = sys.getsizeof(spec) + sum(sys.getsizeof(getattr(spec, s)) for s in Spectrum.__slots__)
+    assert stored <= 8 * 4096 + 128
 
 
 def test_energy_examples():
