@@ -13,6 +13,7 @@ errors (eigensolver non-convergence or a failed internal consistency check).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .core import MAX_EDGES, MAX_VERTICES, SignedGraph, balance, canonical_marking
@@ -52,6 +53,15 @@ class GraphFormatError(ValueError):
 
 _SIGN_TOKENS = {"+": 1, "-": -1}
 _SIGN_CHARS = {1: "+", -1: "-"}
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(token: str) -> int:
+    """int(token) for an optionally signed run of ASCII digits, else ValueError;
+    int() alone would also take '1_2' and non-ASCII digits."""
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(token)
+    return int(token)
 
 
 def parse_graph(text: str) -> SignedGraph:
@@ -69,7 +79,7 @@ def parse_graph(text: str) -> SignedGraph:
             if parts[0] != "sg" or len(parts) != 2:
                 raise GraphFormatError(lineno, f"expected header 'sg <n>', got {line!r}")
             try:
-                n = int(parts[1])
+                n = _integer(parts[1])
             except ValueError:
                 raise GraphFormatError(lineno, f"vertex count is not an integer: {parts[1]!r}") from None
             if not 0 <= n <= MAX_VERTICES:
@@ -81,7 +91,7 @@ def parse_graph(text: str) -> SignedGraph:
         if len(edges) == MAX_EDGES:
             raise GraphFormatError(lineno, f"edge count must be at most {MAX_EDGES}")
         try:
-            u, v = int(parts[1]), int(parts[2])
+            u, v = _integer(parts[1]), _integer(parts[2])
         except ValueError:
             raise GraphFormatError(lineno, f"edge endpoints must be integers: {line!r}") from None
         if parts[3] not in _SIGN_TOKENS:

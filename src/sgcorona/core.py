@@ -371,14 +371,17 @@ def relabel(g: SignedGraph, perm) -> SignedGraph:
 
 
 def _sign_list(signs, m: int) -> list[int]:
+    """m signs: +1s for None, a scalar sign (numpy ints too) m times, or a sequence."""
     if signs is None:
         return [1] * m
-    if isinstance(signs, int):
-        return [_check_sign(signs)] * m
-    out = [_check_sign(s) for s in signs]
-    if len(out) != m:
-        raise ValueError(f"expected {m} signs, got {len(out)}")
-    return out
+    try:
+        uniform = operator.index(signs)
+    except TypeError:
+        out = [_check_sign(s) for s in signs]
+        if len(out) != m:
+            raise ValueError(f"expected {m} signs, got {len(out)}") from None
+        return out
+    return [_check_sign(uniform)] * m
 
 
 def empty_graph(n: int) -> SignedGraph:

@@ -386,16 +386,36 @@ def _mu_square_charpoly(g1: SignedGraph) -> IntPolynomial:
     return IntPolynomial((h * h_neg).coefficients[::2]) * (-1) ** g1.n
 
 
+def _slot_block(g1: SignedGraph, g2: SignedGraph, which: str) -> list[list[int]]:
+    """Slot block M_0 = [[r, 0, 0], [0, r + d, mu2^T], [0, mu2, M(g2) + sI]]
+    of g1 (*) g2 over the slots (u, a, v_1..v_n2) of a first-factor vertex.
+
+    Switching copy i of g2 by mu1(i) splits the product's A, L or Q matrix
+    into M_t = M_0 + tE, one per eigenvalue t of A(g1_mu), E swapping the
+    u- and a-slots (for L, after negating the a-slot).  A has r = d = s = 0;
+    L and Q need g1 regular of degree r1 and have r = r1, d = n2, s = 1.
+    """
+    _check_product_order(g1, g2)
+    r = d = s = 0
+    if which != "A":
+        r, d, s = regularity(g1).degree_regular, g2.n, 1
+        if r is None:
+            raise ValueError("first factor must be degree-regular for L and Q")
+    mu = canonical_marking(g2).values
+    block = [[r] + [0] * (g2.n + 1), [0, r + d, *mu]]
+    for i, (m, row) in enumerate(zip(mu, g2.matrix(which))):
+        row[i] += s
+        block.append([0, m, *row])
+    return block
+
+
 def _cleared_identity(
-    g_sq: IntPolynomial, p: IntPolynomial, f: IntPolynomial, n1: int, r: int = 0, d: int = 0
+    g_sq: IntPolynomial, u: IntPolynomial, f: IntPolynomial, n1: int
 ) -> IntPolynomial:
-    """sum_k g_k u^k f^(n1-k), u = (x - r)((x - r - d) f - p): the product
-    identity cleared of f, whose block for an eigenvalue t of A(g1_mu) has
-    char poly u - t^2 f; g_sq = charpoly(A(g1_mu)^2).  Homogeneous Horner,
-    R <- R u + g_k f^(n1-k) from k = n1 down, so every product has a
-    factor of degree at most deg u."""
-    x = IntPolynomial.x()
-    u = (x - r) * ((x - (r + d)) * f - p)
+    """sum_k g_k u^k f^(n1-k), g_sq = charpoly(A(g1_mu)^2): the product of
+    u - t^2 f over the eigenvalues t of A(g1_mu), cleared of f.  Homogeneous
+    Horner, R <- R u + g_k f^(n1-k) from k = n1 down, so every product has
+    a factor of degree at most deg u."""
     result = IntPolynomial((g_sq.coeff(n1),))
     f_pow = IntPolynomial.one()
     for k in range(n1 - 1, -1, -1):
@@ -405,33 +425,21 @@ def _cleared_identity(
 
 
 def _product_char_poly(g1: SignedGraph, g2: SignedGraph, which: str) -> IntPolynomial:
-    """The cleared identity for the A, L or Q matrix of g1 (*) g2.
-
-    (p, f) is the unreduced coronal pair, under g2's canonical marking,
-    of a copy's block M(g2) + sI.  A has r = d = s = 0; L and Q need g1
-    regular of degree r1 and have r = r1, d = n2, s = 1, as each copy
-    vertex has one more edge, to its anchor.
-    """
-    _check_product_order(g1, g2)
-    r = d = s = 0
-    if which != "A":
-        r, d, s = regularity(g1).degree_regular, g2.n, 1
-        if r is None:
-            raise ValueError("first factor must be degree-regular for L and Q")
-    block = g2.matrix(which)
-    for i, row in enumerate(block):
-        row[i] += s
-    p, f = coronal_pair(block, canonical_marking(g2))
-    return _cleared_identity(_mu_square_charpoly(g1), p, f, g1.n, r, d)
+    """The cleared identity for the A, L or Q matrix of g1 (*) g2: expanding
+    det(xI - M_t) along its u-row gives u - t^2 f, with u = charpoly(M_0)
+    and f the char poly of the copy block M(g2) + sI."""
+    block = _slot_block(g1, g2, which)
+    f = char_poly([row[2:] for row in block[2:]])
+    return _cleared_identity(_mu_square_charpoly(g1), char_poly(block), f, g1.n)
 
 
 def product_char_poly_A(g1: SignedGraph, g2: SignedGraph) -> IntPolynomial:
     """Adjacency characteristic polynomial of the add-vertex corona.
 
-    Exact and without eigenvalues, for any factors: with (p2, f2) the
-    unreduced coronal pair of A(g2) and g the characteristic polynomial
-    of A(g1_mu)^2, it is sum_k g_k u^k f2^(n1-k) with u = x^2 f2 - x p2,
-    monic of degree n1*(n2+2), by Horner's rule.
+    Exact and without eigenvalues, for any factors: the product of the
+    slot blocks' char polys u - t^2 f2 (`_slot_block`), with
+    u = charpoly(M_0) = x^2 f2 - x p2 and (p2, f2) the unreduced coronal
+    pair of A(g2); monic of degree n1*(n2+2).
     """
     return _product_char_poly(g1, g2, "A")
 
@@ -439,15 +447,15 @@ def product_char_poly_A(g1: SignedGraph, g2: SignedGraph) -> IntPolynomial:
 def product_char_poly_L(g1: SignedGraph, g2: SignedGraph) -> IntPolynomial:
     """Laplacian characteristic polynomial of the corona; g1 must be regular.
 
-    The adjacency identity with the coronal pair (pL, fL) of the copy
-    block L(g2) + I and u = (x - r1)((x - r1 - n2) fL - pL), r1 the
-    degree of g1; an irregular g1 raises ValueError.
+    The adjacency identity over the Laplacian slot blocks, whose M_0 has
+    diagonal (r1, r1 + n2, diag(L(g2) + I)), r1 the degree of g1, and f
+    from L(g2) + I; an irregular g1 raises ValueError.
     """
     return _product_char_poly(g1, g2, "L")
 
 
 def product_char_poly_Q(g1: SignedGraph, g2: SignedGraph) -> IntPolynomial:
-    """Signless-Laplacian variant of `product_char_poly_L`, from Q(g2)'s pair."""
+    """Signless-Laplacian variant of `product_char_poly_L`, from Q(g2) + I."""
     return _product_char_poly(g1, g2, "Q")
 
 

@@ -19,14 +19,13 @@ from ._atlas import connected_graphs
 from .core import (
     SignedGraph,
     _as_int,
-    _check_product_order,
     _vertex_count,
     canonical_marking,
     is_balanced,
     regularity,
     star_graph,
 )
-from .exactpoly import IntPolynomial, char_poly, coronal_pair
+from .exactpoly import IntPolynomial, _slot_block, char_poly, coronal_pair
 from .products import add_vertex_corona
 
 __all__ = [
@@ -61,7 +60,10 @@ class Spectrum:
     __slots__ = ("_packed",)
 
     def __init__(self, values):
-        object.__setattr__(self, "_packed", np.asarray(values, dtype=np.float64).tobytes())
+        array = np.asarray(values, dtype=np.float64)
+        if array.ndim != 1:
+            raise ValueError(f"spectrum values must be one-dimensional, not {array.shape}")
+        object.__setattr__(self, "_packed", array.tobytes())
 
     @property
     def values(self) -> tuple[float, ...]:
@@ -200,22 +202,15 @@ def cospectral(g1: SignedGraph, g2: SignedGraph, which: str = "A") -> bool:
 def product_spectrum(g1: SignedGraph, g2: SignedGraph) -> Spectrum:
     """Adjacency spectrum of the add-vertex corona g1 (*) g2, from the factors.
 
-    Switching copy i of g2 by mu1(i) turns the product's adjacency into
-    A(g1_mu) (x) E + I (x) B over the slots (u, a, v_1..v_n2) of each
-    first-factor vertex, where E swaps the u- and a-slots and
-    B = [[0, 0, 0], [0, 0, mu2^T], [0, mu2, A(g2)]].  Diagonalising
-    A(g1_mu) leaves one block M_t = t E + B of order n2 + 2 per
-    eigenvalue t, so the spectrum is the union of spec(M_t): one
-    eigensolve of order n1 (of |A(g1)|: A(g1_mu) = D |A(g1)| D with
-    D = diag(mu1), as g1_mu is balanced) and one batched one of the blocks.
-    Exact for every pair of factors, including empty ones.
+    Switching copy i of g2 by mu1(i) splits the product's adjacency into
+    one slot block M_t = M_0 + tE per eigenvalue t of A(g1_mu)
+    (`exactpoly._slot_block`), so the spectrum is the union of spec(M_t):
+    one eigensolve of order n1 (of |A(g1)|: A(g1_mu) = D |A(g1)| D with
+    D = diag(mu1), as g1_mu is balanced) and one batched one of the blocks,
+    of order n2 + 2.  Exact for every pair of factors, including empty ones.
     """
-    _check_product_order(g1, g2)
-    n2 = g2.n
+    b = np.array(_slot_block(g1, g2, "A"), dtype=float)
     t = eig_sym(np.abs(g1.adjacency())).values
-    b = np.zeros((n2 + 2, n2 + 2))
-    b[1, 2:] = b[2:, 1] = canonical_marking(g2).values
-    b[2:, 2:] = g2.adjacency()
     m = np.repeat(b[None], len(t), axis=0)
     m[:, 0, 1] = m[:, 1, 0] = t
     return Spectrum(np.sort(_lapack(np.linalg.eigvalsh, m).ravel())[::-1])
@@ -463,7 +458,6 @@ def equienergetic_search(max_n: int = 6, find_all: bool = False):
         energy, gi_of, bits_of = energy[order], gi_of[order], bits_of[order]
         # clusters chain sorted energies whose successive gaps are <= _ENERGY_TOL
         cluster = np.concatenate(([0], np.cumsum(np.diff(energy) > _ENERGY_TOL)))
-        candidates = np.flatnonzero(np.bincount(cluster)[cluster] >= 2)
 
         def graph(i: int) -> SignedGraph:
             edges = graphs[gi_of[i]]
@@ -474,15 +468,16 @@ def equienergetic_search(max_n: int = 6, find_all: bool = False):
 
         current = -1
         groups: dict[bytes, dict[bytes, int]] = {}
-        for start in range(0, len(candidates), _SEARCH_CHUNK):
-            idx = candidates[start : start + _SEARCH_CHUNK]
+        # every signature is scanned: its negation -A has the same energy, so
+        # no cluster is a singleton that a filter could skip
+        for start in range(0, len(energy), _SEARCH_CHUNK):
+            idx = slice(start, start + _SEARCH_CHUNK)
             gsel = gi_of[idx]
             traces, moments = _spectral_keys(
                 _signature_matrices(n, us[gsel], vs[gsel], bits_of[idx])
             )
-            for i, cl, cp, key in zip(
-                idx.tolist(), cluster[idx].tolist(), map(bytes, traces), map(bytes, moments)
-            ):
+            keys = zip(cluster[idx].tolist(), map(bytes, traces), map(bytes, moments))
+            for i, (cl, cp, key) in enumerate(keys, start):
                 if cl != current:
                     # within a coronal class, keep one representative per char poly
                     current, groups = cl, {}

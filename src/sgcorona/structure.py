@@ -38,21 +38,11 @@ def count_signs(g: SignedGraph) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class EdgeStats:
-    """Edge counts of g1 (*) g2 together with the factor quantities used."""
+    """Edge counts of g1 (*) g2: all, positive and negative."""
 
     total: int
     positive: int
     negative: int
-    de_total: int
-    de_positive: int
-    de_negative: int
-    e2_total: int
-    e2_positive: int
-    e2_negative: int
-    n1_positive: int
-    n1_negative: int
-    n2_positive: int
-    n2_negative: int
 
 
 def edge_stats_formula(g1: SignedGraph, g2: SignedGraph) -> EdgeStats:
@@ -79,21 +69,7 @@ def edge_stats_formula(g1: SignedGraph, g2: SignedGraph) -> EdgeStats:
     positive = de_pos + g1.n * e2_pos + n1p * n2p + n1m * n2m
     negative = de_neg + g1.n * e2_neg + n1p * n2m + n1m * n2p
     total = de_total + g1.n * g2.m + g1.n * g2.n
-    return EdgeStats(
-        total=total,
-        positive=positive,
-        negative=negative,
-        de_total=de_total,
-        de_positive=de_pos,
-        de_negative=de_neg,
-        e2_total=g2.m,
-        e2_positive=e2_pos,
-        e2_negative=e2_neg,
-        n1_positive=n1p,
-        n1_negative=n1m,
-        n2_positive=n2p,
-        n2_negative=n2m,
-    )
+    return EdgeStats(total, positive, negative)
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,12 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(GraphFormatError) as info:
         parse_graph("sg 2\ne a 2 +\n")
     assert info.value.line == 2 and "endpoints must be integers" in str(info.value)
+    # int() would read these as 12, 10 and the Arabic-Indic 12
+    for text, line in (("sg 1_2\n", 1), ("sg 12\ne 1_0 2 +\n", 2), ("sg \u0661\u0662\n", 1)):
+        with pytest.raises(GraphFormatError, match="integer") as info:
+            parse_graph(text)
+        assert info.value.line == line
+    assert parse_graph("sg +3\ne +1 03 -\n").edges() == [(0, 2, -1)]
     with pytest.raises(GraphFormatError):
         parse_graph("graph 2\n")
     with pytest.raises(GraphFormatError):

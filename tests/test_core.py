@@ -400,3 +400,10 @@ def test_constructors():
         cycle_graph(2)
     with pytest.raises(ValueError):
         path_graph(3, [1])
+    # any integer scalar is a uniform sign, numpy's too
+    for sign in (-1, np.int64(-1), np.int8(-1)):
+        assert path_graph(3, sign).edges() == [(0, 1, -1), (1, 2, -1)]
+        assert cycle_graph(3, sign) == complete_graph(3, sign) == cycle_graph(3, -1)
+        assert star_graph(2, sign).edges() == [(0, 1, -1), (0, 2, -1)]
+    with pytest.raises(ValueError):
+        star_graph(2, np.int64(2))

@@ -46,6 +46,7 @@ from sgcorona.exactpoly import (
     _root_bound,
     _seeded_brackets,
     _seeds,
+    _slot_block,
     _variations,
 )
 from helpers import (
@@ -475,9 +476,8 @@ def test_balanced_first_factor_cospectral_substitution():
         g_from_plain = char_poly(_matmul(a, a))
         g_from_mu = char_poly(_matmul(a_mu, a_mu))
         assert g_from_plain == g_from_mu
-        mu2 = canonical_marking(g2)
-        p2, f2 = coronal_pair(g2.adjacency(), mu2)
-        rebuilt = _cleared_identity(g_from_plain, p2, f2, g1.n)
+        p2, f2 = coronal_pair(g2.adjacency(), canonical_marking(g2))
+        rebuilt = _cleared_identity(g_from_plain, X * X * f2 - X * p2, f2, g1.n)
         assert rebuilt == product_char_poly_A(g1, g2)
 
 
@@ -486,19 +486,58 @@ def test_balanced_first_factor_cospectral_substitution():
     st.integers(0, 6).flatmap(
         lambda n1: st.tuples(st.just(n1), st.lists(st.integers(-9, 9), max_size=n1 + 1))
     ),
+    st.lists(st.integers(-5, 5), max_size=7),
     st.lists(st.integers(-5, 5), max_size=5),
-    st.lists(st.integers(-5, 5), max_size=5),
-    st.integers(-4, 4),
-    st.integers(0, 5),
 )
-def test_property_cleared_product_matches_naive_sum(n1_g, p, f, r, d):
-    # Horner assembly against sum_k g_k u^k f^(n1-k), term by term, with
-    # u = (x - r)((x - r - d) f - p)
+def test_property_cleared_product_matches_naive_sum(n1_g, u, f):
+    # Horner assembly against sum_k g_k u^k f^(n1-k), term by term
     n1, g = n1_g
-    g, p, f = IntPolynomial(g), IntPolynomial(p), IntPolynomial(f)
-    u = (X - r) * ((X - r - d) * f - p)
+    g, u, f = IntPolynomial(g), IntPolynomial(u), IntPolynomial(f)
     naive = sum((g.coeff(k) * u ** k * f ** (n1 - k) for k in range(n1 + 1)), IntPolynomial())
-    assert _cleared_identity(g, p, f, n1, r, d) == naive
+    assert _cleared_identity(g, u, f, n1) == naive
+
+
+# Graphs of order at most 4 whose adjacency spectra are integers, as
+# (order, edges, spectrum, regular); `regularity` calls no order-0 graph regular
+_INTEGRAL_GRAPHS = [
+    (0, [], [], False),
+    (1, [], [0], True),
+    (2, [], [0, 0], True),
+    (2, [(0, 1)], [1, -1], True),
+    (3, [(0, 1)], [1, 0, -1], False),
+    (3, [(0, 1), (1, 2), (0, 2)], [2, -1, -1], True),
+    (4, [(0, 1), (2, 3)], [1, 1, -1, -1], True),
+    (4, [(0, 1), (1, 2), (0, 2)], [2, 0, -1, -1], False),
+    (4, [(0, 1), (1, 2), (2, 3), (0, 3)], [2, 0, 0, -2], True),
+    (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], [3, -1, -1, -1], True),
+]
+
+
+def test_slot_block_char_poly_is_u_minus_t_squared_f():
+    # det(xI - M_0 - tE) = u - t^2 f, by expansion along the u-row; and the
+    # product of these over the spectrum of A(g1_mu), which is that of
+    # |A(g1)|, is the dense product's char poly, which pins M_0's
+    # diagonal and signs
+    rng = random.Random(41)
+    for n1, edges, spectrum, regular in _INTEGRAL_GRAPHS * 3:
+        g1 = SignedGraph(n1, [(u, v, rng.choice((1, -1))) for u, v in edges])
+        g2 = random_signed_graph(rng, rng.randint(0, 4))
+        prod, _ = add_vertex_corona(g1, g2)
+        for which in "ALQ" if regular else "A":
+            block = _slot_block(g1, g2, which)
+            u, f = char_poly(block), char_poly([row[2:] for row in block[2:]])
+            chi = {}
+            for t in range(-3, 4):
+                m_t = [row[:] for row in block]
+                m_t[0][1] = m_t[1][0] = t
+                chi[t] = char_poly(m_t)
+                assert chi[t] == u - t * t * f
+            dense = char_poly(prod.matrix(which))
+            assert math.prod((chi[t] for t in spectrum), start=IntPolynomial.one()) == dense
+        if not regular:
+            for which in "LQ":
+                with pytest.raises(ValueError, match="degree-regular"):
+                    _slot_block(g1, g2, which)
 
 
 def test_mu_square_charpoly_from_underlying_graph():

@@ -180,6 +180,9 @@ def test_spectrum_values_round_trip_exactly():
         assert len(spec) == len(values) and [v.hex() for v in spec] == [v.hex() for v in values]
         assert spec.to_lines() == [f"{v:.12g}" for v in values]
     assert Spectrum(()).values == () and len(Spectrum([])) == 0
+    for values in ([[1, 2], [3, 4]], 1.0, np.zeros((0, 0))):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Spectrum(values)
 
 
 def test_spectrum_equality_and_hash():

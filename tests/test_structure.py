@@ -30,7 +30,6 @@ def test_enumerate_triads_examples():
 def test_edge_stats_p2_c3():
     es = edge_stats_formula(path_graph(2), cycle_graph(3))
     assert (es.total, es.positive, es.negative) == (14, 14, 0)
-    assert es.total == es.de_total + 2 * es.e2_total + 2 * 3
 
 
 def test_edge_stats_smallest():
@@ -42,8 +41,6 @@ def test_edge_stats_negative_first_factor():
     # all join endpoints marked negative: every join edge to C3+ is negative
     g1 = path_graph(2, [-1])
     es = edge_stats_formula(g1, cycle_graph(3))
-    assert es.n1_positive == 0 and es.n1_negative == 2
-    assert es.n2_positive == 3
     prod, _ = add_vertex_corona(g1, cycle_graph(3))
     pos, neg = count_signs(prod)
     assert (es.total, es.positive, es.negative) == (prod.m, pos, neg)
